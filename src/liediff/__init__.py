@@ -16,6 +16,7 @@ from .errors import (
     IndexOutOfRange,
     IoError,
     LieDiffError,
+    NegativeExponent,
     NoCoordinateSubset,
     NonConstantStructureConstants,
     NotIndependent,
@@ -77,6 +78,7 @@ from .ops import (
     op_add,
     op_commutator,
     op_mul,
+    rewrite_normalize,
 )
 from .parsing import parse_field_expr, parse_normalpoly_expr, parse_operator_expr
 

@@ -33,6 +33,11 @@ class ArityMismatch(LieDiffError):
     """A vector, matrix or multi-index has the wrong number of entries."""
 
 
+class NegativeExponent(LieDiffError):
+    """A polynomial, operator word or normal polynomial was raised to a
+    negative power; only field elements have inverses."""
+
+
 class NonConstantStructureConstants(LieDiffError):
     """The abstract Jacobi test only applies to constant structure constants."""
 

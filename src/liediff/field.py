@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 from .errors import (
     DivisionByZero,
     IndexOutOfRange,
+    NegativeExponent,
     UnknownVariable,
     ZeroDenominator,
 )
@@ -122,7 +123,8 @@ class MPoly:
         return MPoly(self.vars, {e: k * c for e, k in self.terms.items()})
 
     def __pow__(self, k: int) -> "MPoly":
-        assert k >= 0
+        if k < 0:
+            raise NegativeExponent(f"polynomial raised to the power {k}")
         out = MPoly.const(self.vars, 1)
         base = self
         while k:

@@ -20,13 +20,14 @@ from typing import Iterable, Sequence
 
 from .errors import (
     ArityMismatch,
+    NegativeExponent,
     TruncationExceeded,
     UnboundSlot,
     UnknownDerivation,
 )
 from .field import RatFunc, derive, join_signed, needs_product_parens
 from .lie import Presentation
-from .ops import NormalOperator, OpWord, apply_operator, normalize
+from .ops import NormalOperator, PBWTable, apply_operator
 
 # A generator is a multi-index (tuple of ints) for X_I or a string for a slot.
 
@@ -153,7 +154,8 @@ class NormalPoly:
         return NormalPoly(self.vars, self.n, {m: k * c for m, k in self.terms.items()})
 
     def __pow__(self, k: int) -> "NormalPoly":
-        assert k >= 0
+        if k < 0:
+            raise NegativeExponent(f"normal polynomial raised to the power {k}")
         out = NormalPoly.const(self.vars, self.n, RatFunc.const(self.vars, 1))
         for _ in range(k):
             out = out * self
@@ -207,25 +209,29 @@ class NormalPoly:
         return f"NormalPoly({self})"
 
 
+def _linear(p: Presentation, T: dict) -> NormalPoly:
+    # a table entry sum_J c_J * D^J read back as sum_J c_J * X_J
+    return NormalPoly(p.vars, p.n, {((J, 1),): c for J, c in T.items()})
+
+
 def x_action(i: int, I, p: Presentation) -> NormalPoly:
-    """Image of the variable X_I under D_i: normal-order D_i * D^I and read
-    the result back as a linear normal polynomial."""
+    """Image of the variable X_I under D_i: the normal form T(i, I) of
+    D_i * D^I, read back as a linear normal polynomial."""
     if not 1 <= i <= p.n:
         raise UnknownDerivation(f"derivation index {i} not in 1..{p.n}")
-    word = (i,) + tuple(k + 1 for k, e in enumerate(I) for _ in range(e))
-    nop = normalize(OpWord(p.vars, p.n, [word]), p)
-    out = NormalPoly.zero(p.vars, p.n)
-    for J, c in nop.terms.items():
-        out = out + NormalPoly.xvar(p.vars, p.n, J).scale(c)
-    return out
+    I = tuple(I)
+    if len(I) != p.n:
+        raise ArityMismatch(f"multi-index {I} has arity != {p.n}")
+    return _linear(p, PBWTable(p).entry(i, I))
 
 
 def derive_normal(i: int, q: NormalPoly, p: Presentation) -> NormalPoly:
     """Extend the derivation D_i to normal polynomials: derive coefficients,
-    act on the X_I through normal ordering, and apply Leibniz."""
+    act on the X_I through one PBW table, and apply Leibniz."""
     if not 1 <= i <= p.n:
         raise UnknownDerivation(f"derivation index {i} not in 1..{p.n}")
-    return _derive_with(q, p, lambda I: x_action(i, I, p),
+    table = PBWTable(p)
+    return _derive_with(q, p, lambda I: _linear(p, table.entry(i, I)),
                         lambda c: derive(p.derivation(i), c))
 
 
@@ -348,8 +354,9 @@ def fresh_extension(p: Presentation, d: int) -> TruncatedExtension:
     each D_i sends X_0 to the distinct fresh variable X_{e_i}."""
     if d < 1:
         raise ArityMismatch("order bound must be at least 1")
+    table = PBWTable(p)
     actions = {}
     for I in indices_up_to(p.n, d - 1):
         for i in range(1, p.n + 1):
-            actions[(i, I)] = x_action(i, I, p)
+            actions[(i, I)] = _linear(p, table.entry(i, I))
     return TruncatedExtension(p, d, actions)

@@ -3,8 +3,24 @@
 An operator word is a sum of composition terms; each term is a sequence of
 factors, where a factor is either a field coefficient (acting by
 multiplication) or a derivation index.  Factors compose left to right, the
-rightmost factor acting first.  Normal ordering rewrites every term into the
-form c * D1^i1 * ... * Dn^in using two rules:
+rightmost factor acting first.  Normal ordering brings every term into the
+form c * D1^i1 * ... * Dn^in, which exists and is unique by the
+Poincare-Birkhoff-Witt theorem.
+
+``normalize`` reads each term right to left and left-multiplies a
+normal-ordered accumulator, merging like terms after every factor.  A
+coefficient scales every coefficient of the accumulator; D_k sends
+c * D^I to c * T(k, I) + D_k(c) * D^I, where T(k, I) is the normal form of
+D_k * D^I.  With l the first index such that I_l > 0,
+
+  T(k, I) = D^(I + e_k)                                             (k <= l)
+  T(k, I) = D_l * T(k, I - e_l) + sum_m alpha[k,l,m] * T(m, I - e_l)  (k > l)
+
+The entries are filled on demand, without recursion, into a table that
+lives for one call (``PBWTable``), so nothing is shared between calls.
+
+``rewrite_normalize`` is the reference engine the tests compare against.
+It rewrites redexes with two rules:
 
   R1:  D_k * c      ->  c * D_k  +  D_k(c)
   R2:  D_k * D_l    ->  D_l * D_k + sum_m alpha[k,l,m] * D_m      (k > l)
@@ -13,15 +29,15 @@ Both rules preserve the operator's action on the field, so applying the
 normal form to any element agrees with applying the original word.  Each
 rewrite strictly decreases the measure (number of derivation factors, number
 of out-of-order derivation pairs, number of coefficients standing right of a
-derivation), which forces termination; the engine asserts the decrease at
-every step.
+derivation), which forces termination; the oracle asserts the decrease at
+every step.  Its cost is exponential in the length of a word.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Union
 
-from .errors import ArityMismatch, UnknownDerivation, UnknownVariable
+from .errors import ArityMismatch, NegativeExponent, UnknownDerivation, UnknownVariable
 from .field import RatFunc, derive, join_signed, needs_product_parens
 from .lie import Presentation
 
@@ -92,7 +108,8 @@ class OpWord:
         )
 
     def __pow__(self, k: int) -> "OpWord":
-        assert k >= 0
+        if k < 0:
+            raise NegativeExponent(f"operator word raised to the power {k}")
         out = OpWord.identity(self.vars, self.n)
         for _ in range(k):
             out = out * self
@@ -281,19 +298,134 @@ def _collect(term, vars, n) -> tuple[tuple[int, ...], RatFunc]:
     return tuple(I), c
 
 
-def normalize(w: OpWord, p: Presentation, strategy: str = "leftmost", stats: dict | None = None) -> NormalOperator:
-    """Rewrite a word into its unique normal-ordered form.
-
-    ``strategy`` selects which redex fires first ("leftmost" or "rightmost");
-    the result must not depend on it.  ``stats``, when given, receives the
-    number of rewrite steps under the key "steps".
-    """
+def _check_word(w: OpWord, p: Presentation, strategy: str) -> None:
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy '{strategy}'")
     if w.vars != p.vars:
         raise UnknownVariable("word and presentation declare different variables")
     if w.n != p.n:
         raise UnknownDerivation("word arity differs from the presentation")
+
+
+def _add_to(acc: dict, I, c: RatFunc) -> None:
+    s = acc.get(I)
+    s = c if s is None else s + c
+    if s.is_zero():
+        acc.pop(I, None)
+    else:
+        acc[I] = s
+
+
+def _times(a: RatFunc, b: RatFunc) -> RatFunc:
+    # most table coefficients are 1: skip those products
+    if a.is_one():
+        return b
+    if b.is_one():
+        return a
+    return a * b
+
+
+def _shift(I: tuple, k: int, d: int) -> tuple:
+    return I[: k - 1] + (I[k - 1] + d,) + I[k:]
+
+
+class PBWTable:
+    """Normal forms T(k, I) of D_k * D^I over one presentation, as dicts
+    multi-index -> coefficient, filled on demand.  A table belongs to one
+    call; ``len(table.entries)`` is the number of entries computed."""
+
+    __slots__ = ("p", "one", "entries")
+
+    def __init__(self, p: Presentation):
+        self.p = p
+        self.one = RatFunc.const(p.vars, 1)
+        self.entries: dict = {}
+
+    def entry(self, k: int, I: tuple) -> dict:
+        """T(k, I), filling the entries it depends on first with an explicit
+        stack, so that long words need no deep recursion."""
+        entries = self.entries
+        want = (k, I)
+        todo = [want]
+        while todo:
+            key = todo[-1]
+            if key in entries:
+                todo.pop()
+                continue
+            k, I = key
+            # l is the first derivation in D^I; D_k * 1 is trivial too
+            l = next((j + 1 for j, e in enumerate(I) if e), k)
+            if k <= l:
+                entries[key] = {_shift(I, k, 1): self.one}
+                todo.pop()
+                continue
+            rest = _shift(I, l, -1)
+            brackets = [(m, self.p.alpha.get(k, l, m)) for m in range(1, self.p.n + 1)]
+            brackets = [(m, c) for m, c in brackets if not c.is_zero()]
+            missing = [d for d in [(k, rest)] + [(m, rest) for m, _ in brackets]
+                       if d not in entries]
+            if not missing:
+                missing = [(l, J) for J in entries[(k, rest)] if (l, J) not in entries]
+            if missing:
+                todo.extend(missing)
+                continue
+            todo.pop()
+            out = self.left_mul(l, entries[(k, rest)])
+            for m, c in brackets:
+                for J, t in entries[(m, rest)].items():
+                    _add_to(out, J, _times(c, t))
+            entries[key] = out
+        return entries[want]
+
+    def left_mul(self, k: int, a: dict) -> dict:
+        """Normal form of D_k composed with the normal-ordered sum a."""
+        out: dict = {}
+        action = self.p.derivation(k)
+        for I, c in a.items():
+            for J, t in self.entry(k, I).items():
+                _add_to(out, J, _times(c, t))
+            if not c.is_const():
+                _add_to(out, I, derive(action, c))
+        return out
+
+
+def normalize(w: OpWord, p: Presentation, strategy: str = "leftmost", stats: dict | None = None) -> NormalOperator:
+    """Normal-ordered form of a word, by left multiplication through a
+    per-call PBW table.
+
+    ``strategy`` is validated for compatibility with ``rewrite_normalize`` but
+    selects nothing here.  ``stats``, when given, receives the number of table
+    entries computed under the key "steps".
+    """
+    _check_word(w, p, strategy)
+    table = PBWTable(p)
+    zero = (0,) * p.n
+    acc: dict[tuple[int, ...], RatFunc] = {}
+    for term in w.terms:
+        part = {zero: table.one}
+        for f in reversed(term):
+            if isinstance(f, int):
+                part = table.left_mul(f, part)
+            elif f.is_zero():
+                part = {}
+                break
+            elif not f.is_one():
+                part = {I: _times(f, c) for I, c in part.items()}
+        for I, c in part.items():
+            _add_to(acc, I, c)
+    if stats is not None:
+        stats["steps"] = len(table.entries)
+    return NormalOperator(w.vars, w.n, acc)
+
+
+def rewrite_normalize(w: OpWord, p: Presentation, strategy: str = "leftmost", stats: dict | None = None) -> NormalOperator:
+    """Reference engine: rewrite a word into its normal-ordered form.
+
+    ``strategy`` selects which redex fires first ("leftmost" or "rightmost");
+    the result must not depend on it.  ``stats``, when given, receives the
+    number of rewrite steps under the key "steps".
+    """
+    _check_word(w, p, strategy)
     acc: dict[tuple[int, ...], RatFunc] = {}
     stack = list(w.terms)
     steps = 0
@@ -303,12 +435,7 @@ def normalize(w: OpWord, p: Presentation, strategy: str = "leftmost", stats: dic
         if not positions:
             I, c = _collect(term, w.vars, w.n)
             if not c.is_zero():
-                s = acc.get(I)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    acc.pop(I, None)
-                else:
-                    acc[I] = s
+                _add_to(acc, I, c)
             continue
         i = positions[0] if strategy == "leftmost" else positions[-1]
         steps += 1

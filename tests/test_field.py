@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from liediff import (
     DivisionByZero,
     IndexOutOfRange,
     MPoly,
+    NegativeExponent,
     RatFunc,
     ZeroDenominator,
     coordinate_delta,
@@ -94,6 +99,31 @@ class TestArith:
 
     def test_pow_negative(self):
         assert rf("x/2") ** -2 == rf("4/x^2")
+
+    def test_poly_pow_negative_rejected(self):
+        with pytest.raises(NegativeExponent):
+            MPoly.variable(VARS, "x") ** -1
+
+    def test_negative_powers_rejected_under_optimize(self):
+        # the checks raise, so they survive python -O (an assert would not)
+        code = (
+            "from liediff import *\n"
+            "x = MPoly.variable(('x',), 'x')\n"
+            "w = OpWord(('x',), 1, [(1,)])\n"
+            "q = NormalPoly.xvar(('x',), 1, (1,))\n"
+            "for base in (x, w, q):\n"
+            "    try:\n"
+            "        base ** -1\n"
+            "    except NegativeExponent:\n"
+            "        continue\n"
+            "    raise SystemExit(f'{type(base).__name__} ** -1 did not raise')\n"
+        )
+        path = [str(Path(__file__).resolve().parents[1] / "src")]
+        path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
 
 
 class TestGcd:

@@ -4,7 +4,9 @@ import pytest
 
 from liediff import (
     ArityMismatch,
+    NegativeExponent,
     NormalPoly,
+    OpWord,
     RatFunc,
     TruncationExceeded,
     UnboundSlot,
@@ -16,8 +18,10 @@ from liediff import (
     indices_up_to,
     parse_field_expr,
     parse_normalpoly_expr,
+    rewrite_normalize,
     substitute_slots,
 )
+from liediff.normalpoly import x_action
 from conftest import rand_npoly, rand_poly, rand_ratfunc
 
 
@@ -55,6 +59,33 @@ class TestDeriveNormal:
     def test_slot_cannot_be_differentiated(self, p1):
         with pytest.raises(UnboundSlot):
             derive_normal(1, np_("a1*X[0,0]", p1), p1)
+
+
+class TestXAction:
+    def test_matches_rewrite_oracle(self, p_nc, p_heis):
+        for pres in (p_nc, p_heis):
+            for I in indices_up_to(pres.n, 2):
+                for i in range(1, pres.n + 1):
+                    symbols = tuple(k + 1 for k, e in enumerate(I) for _ in range(e))
+                    word = OpWord(pres.vars, pres.n, [(i,) + symbols])
+                    want = NormalPoly.zero(pres.vars, pres.n)
+                    for J, c in rewrite_normalize(word, pres).terms.items():
+                        want = want + NormalPoly.xvar(pres.vars, pres.n, J).scale(c)
+                    assert x_action(i, I, pres) == want
+
+    def test_arity_checked(self, p1):
+        with pytest.raises(ArityMismatch):
+            x_action(1, (1,), p1)
+
+
+class TestPow:
+    def test_power_is_repeated_product(self, p1):
+        q = np_("X[1,0] + x", p1)
+        assert q**3 == q * q * q
+
+    def test_negative_power_rejected(self, p1):
+        with pytest.raises(NegativeExponent):
+            np_("X[1,0]", p1) ** -1
 
 
 class TestEvalHom:

@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 
 from liediff import (
     ArityMismatch,
+    NegativeExponent,
     NormalOperator,
     OpWord,
     RatFunc,
@@ -16,6 +18,7 @@ from liediff import (
     op_mul,
     parse_field_expr,
     parse_operator_expr,
+    rewrite_normalize,
 )
 from conftest import rand_poly, rand_word
 
@@ -69,6 +72,47 @@ class TestNormalize:
         got = normalize(w, p_heis, stats=stats)
         assert not got.is_zero()
         assert stats["steps"] <= 200
+
+    def test_rewrite_oracle_counts_steps(self, p1):
+        stats = {}
+        got = rewrite_normalize(parse_operator_expr("(D2*D1)^3", p1), p1, stats=stats)
+        assert got == normalize(parse_operator_expr("(D2*D1)^3", p1), p1)
+        assert stats["steps"] == 71
+
+    def test_unknown_strategy(self, p1):
+        w = parse_operator_expr("D2*D1", p1)
+        for engine in (normalize, rewrite_normalize):
+            with pytest.raises(ValueError):
+                engine(w, p1, strategy="middle")
+
+
+class TestLongWords:
+    # both words hang the rewrite engine, whose cost grows exponentially
+
+    def test_one_derivation_past_a_long_power(self, p1):
+        got = normalize(parse_operator_expr("D2*D1^1500", p1), p1)
+        assert got == mono(p1, (1500, 1)) + mono(p1, (1500, 0), "-1500")
+
+    def test_scaling_word_is_sound_and_fast(self, p1):
+        w = parse_operator_expr("(D2*D1)^10", p1)
+        rng = random.Random(106)
+        polys = [RatFunc.from_poly(rand_poly(rng, p1.vars, 3)) for _ in range(20)]
+        start = time.perf_counter()
+        nf = normalize(w, p1)
+        for f in polys:
+            assert apply_operator(nf, f, p1) == apply_operator(w, f, p1)
+        assert time.perf_counter() - start < 1.0
+
+
+class TestOpWordPow:
+    def test_power_repeats_composition(self, p1):
+        d = parse_operator_expr("D2*D1", p1)
+        assert (d**3).terms == (d * d * d).terms
+        assert (d**0).terms == ((),)
+
+    def test_negative_power_rejected(self, p1):
+        with pytest.raises(NegativeExponent):
+            parse_operator_expr("D2*D1", p1) ** -1
 
 
 class TestOpAdd:
@@ -193,12 +237,14 @@ def _soundness_suite(pres, seed, words, polys):
     rng = random.Random(seed)
     for _ in range(words):
         w = rand_word(rng, pres)
-        left = normalize(w, pres, strategy="leftmost")
-        right = normalize(w, pres, strategy="rightmost")
+        left = rewrite_normalize(w, pres, strategy="leftmost")
+        right = rewrite_normalize(w, pres, strategy="rightmost")
         assert left == right, "strategies disagree"
+        nf = normalize(w, pres)
+        assert nf == left, "table engine disagrees with the rewrite oracle"
         for _ in range(polys):
             f = RatFunc.from_poly(rand_poly(rng, pres.vars, 3))
-            assert apply_operator(left, f, pres) == apply_operator(w, f, pres)
+            assert apply_operator(nf, f, pres) == apply_operator(w, f, pres)
 
 
 class TestSoundnessAndConfluence:
