@@ -19,6 +19,7 @@ from .errors import (
     NegativeExponent,
     NoCoordinateSubset,
     NonConstantStructureConstants,
+    NotConstant,
     NotIndependent,
     PresentationInvalid,
     SchemaError,
@@ -55,6 +56,7 @@ from .lie import (
     Presentation,
     StructureConstants,
     apply_first_order,
+    bracket_residuals,
     check_presentation,
     validate_antisymmetry,
     validate_jacobi,

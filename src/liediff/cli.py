@@ -25,7 +25,6 @@ from .frobenius import (
     axiom2_witness_check,
     change_basis_check,
     commuting_basis,
-    commuting_check,
 )
 from .lie import (
     Presentation,
@@ -160,8 +159,7 @@ def _fmt_matrix(A) -> str:
     return "[" + ", ".join("[" + ", ".join(str(e) for e in row) + "]" for row in A) + "]"
 
 
-def cmd_validate(args) -> int:
-    pres = load_presentation(args.presentation, validate=False)
+def cmd_validate(args, pres: Presentation) -> int:
     report = list(check_presentation(pres))
     if pres.alpha.is_constant():
         report += validate_jacobi(pres.alpha)
@@ -170,31 +168,27 @@ def cmd_validate(args) -> int:
     return _print_report(report)
 
 
-def cmd_normalize(args) -> int:
-    pres = load_presentation(args.presentation, validate=not args.no_validate)
+def cmd_normalize(args, pres: Presentation) -> int:
     w = parse_operator_expr(args.expr, pres)
     print(normalize(w, pres))
     return 0
 
 
-def cmd_commutator(args) -> int:
-    pres = load_presentation(args.presentation, validate=not args.no_validate)
+def cmd_commutator(args, pres: Presentation) -> int:
     a = normalize(parse_operator_expr(args.left, pres), pres)
     b = normalize(parse_operator_expr(args.right, pres), pres)
     print(op_commutator(a, b, pres))
     return 0
 
 
-def cmd_apply(args) -> int:
-    pres = load_presentation(args.presentation, validate=not args.no_validate)
+def cmd_apply(args, pres: Presentation) -> int:
     w = parse_operator_expr(args.operator, pres)
     f = parse_field_expr(args.value, pres.vars)
     print(apply_operator(w, f, pres))
     return 0
 
 
-def cmd_frobenius(args) -> int:
-    pres = load_presentation(args.presentation, validate=not args.no_validate)
+def cmd_frobenius(args, pres: Presentation) -> int:
     try:
         A, actions = commuting_basis(pres)
     except (NotIndependent, CommutationFailure) as e:
@@ -207,8 +201,7 @@ def cmd_frobenius(args) -> int:
     return 0
 
 
-def cmd_check_basis(args) -> int:
-    pres = load_presentation(args.presentation, validate=not args.no_validate)
+def cmd_check_basis(args, pres: Presentation) -> int:
     A = load_basis_matrix(args.matrix, pres)
     beta = (
         load_structure_constants(args.beta, pres)
@@ -218,14 +211,7 @@ def cmd_check_basis(args) -> int:
     return _print_report(change_basis_check(A, beta, pres))
 
 
-def cmd_check_commuting(args) -> int:
-    pres = load_presentation(args.presentation, validate=not args.no_validate)
-    A = load_basis_matrix(args.matrix, pres)
-    return _print_report(commuting_check(A, pres))
-
-
-def cmd_derive_normal(args) -> int:
-    pres = load_presentation(args.presentation, validate=not args.no_validate)
+def cmd_derive_normal(args, pres: Presentation) -> int:
     q = parse_normalpoly_expr(args.expr, pres)
     if args.order is not None:
         ext = fresh_extension(pres, args.order)
@@ -235,16 +221,14 @@ def cmd_derive_normal(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    pres = load_presentation(args.presentation, validate=not args.no_validate)
+def cmd_eval(args, pres: Presentation) -> int:
     q = parse_normalpoly_expr(args.expr, pres)
     b = parse_field_expr(args.witness, pres.vars)
     print(eval_hom(q, b, pres))
     return 0
 
 
-def cmd_check_axiom1(args) -> int:
-    pres = load_presentation(args.presentation, validate=not args.no_validate)
+def cmd_check_axiom1(args, pres: Presentation) -> int:
     q = parse_normalpoly_expr(args.expr, pres)
     b = parse_field_expr(args.witness, pres.vars)
     extra = [parse_field_expr(s, pres.vars) for s in args.slot]
@@ -253,8 +237,7 @@ def cmd_check_axiom1(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_check_axiom2(args) -> int:
-    pres = load_presentation(args.presentation, validate=not args.no_validate)
+def cmd_check_axiom2(args, pres: Presentation) -> int:
     A = load_basis_matrix(args.matrix, pres)
     ok = axiom2_witness_check([e for row in A for e in row], pres)
     print("true" if ok else "false")
@@ -279,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="validate a presentation")
     sp.add_argument("-p", "--presentation", required=True)
-    sp.set_defaults(func=cmd_validate)
+    sp.set_defaults(func=cmd_validate, no_validate=True)
 
     sp = sub.add_parser("normalize", help="normal-order an operator expression")
     common(sp)
@@ -311,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check-commuting", help="check that a basis change commutes")
     common(sp)
     sp.add_argument("-A", "--matrix", required=True)
-    sp.set_defaults(func=cmd_check_commuting)
+    sp.set_defaults(func=cmd_check_basis, beta=None)
 
     sp = sub.add_parser("derive-normal", help="derive a normal polynomial")
     common(sp)
@@ -351,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        pres = load_presentation(args.presentation, validate=not args.no_validate)
+        return args.func(args, pres)
     except LieDiffError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -38,6 +38,11 @@ class NegativeExponent(LieDiffError):
     negative power; only field elements have inverses."""
 
 
+class NotConstant(LieDiffError):
+    """A constant value was read from a non-constant polynomial or field
+    element."""
+
+
 class NonConstantStructureConstants(LieDiffError):
     """The abstract Jacobi test only applies to constant structure constants."""
 

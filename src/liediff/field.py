@@ -15,9 +15,11 @@ from math import gcd as _igcd, lcm as _ilcm
 from typing import Iterable, Sequence
 
 from .errors import (
+    ArityMismatch,
     DivisionByZero,
     IndexOutOfRange,
     NegativeExponent,
+    NotConstant,
     UnknownVariable,
     ZeroDenominator,
 )
@@ -45,7 +47,8 @@ class MPoly:
                 c = Fraction(c)
             if c:
                 e = tuple(e)
-                assert len(e) == len(self.vars), "exponent arity mismatch"
+                if len(e) != len(self.vars):
+                    raise ArityMismatch(f"exponent {e} has arity != {len(self.vars)}")
                 clean[e] = c
         self.terms = clean
 
@@ -79,12 +82,11 @@ class MPoly:
     def const_value(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
-        ((e, c),) = self.terms.items()
-        assert not any(e), "not a constant"
-        return c
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        if len(self.terms) == 1:
+            ((e, c),) = self.terms.items()
+            if not any(e):
+                return c
+        raise NotConstant(f"polynomial {self} is not a constant")
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         e = max(self.terms, key=_grlex)
@@ -142,20 +144,6 @@ class MPoly:
                 e2 = e[:j] + (e[j] - 1,) + e[j + 1 :]
                 t[e2] = t.get(e2, Fraction(0)) + c * e[j]
         return MPoly(self.vars, t)
-
-    def subst(self, values: Sequence["RatFunc"]) -> "RatFunc":
-        """Evaluate at field elements, one per variable."""
-        if len(values) != len(self.vars):
-            raise UnknownVariable("substitution needs one value per variable")
-        out = RatFunc.zero(values[0].vars if values else self.vars)
-        target_vars = values[0].vars if values else self.vars
-        for e, c in self.terms.items():
-            v = RatFunc.const(target_vars, c)
-            for j, p in enumerate(e):
-                if p:
-                    v = v * values[j] ** p
-            out = out + v
-        return out
 
     # -- content and gcd -----------------------------------------------------
 
@@ -472,7 +460,8 @@ class RatFunc:
         return self.num.is_const() and self.den.is_const()
 
     def const_value(self) -> Fraction:
-        assert self.is_const()
+        if not self.is_const():
+            raise NotConstant(f"field element {self} is not a constant")
         if self.is_zero():
             return Fraction(0)
         return self.num.const_value() / self.den.const_value()
@@ -580,6 +569,35 @@ def needs_product_parens(c: "RatFunc") -> bool:
     return len(c.num.terms) > 1 and c.den.is_const() and c.den.const_value() == 1
 
 
+def format_sum(pairs) -> str:
+    """Render a sum of field coefficients times monomials from (coefficient,
+    monomial text) pairs in printing order; an empty monomial text is a
+    constant term.  A coefficient 1 is left out, a negative lead becomes the
+    sign, and a coefficient that is a sum is parenthesized."""
+    parts = []
+    for c, mon in pairs:
+        neg = c.negative_lead()
+        a = -c if neg else c
+        if mon and a.is_one():
+            body = mon
+        else:
+            body = f"({a})" if needs_product_parens(a) else str(a)
+            if mon:
+                body = f"{body}*{mon}"
+        parts.append((neg, body))
+    return join_signed(parts) if parts else "0"
+
+
+def _add_to(acc: dict, key, c: RatFunc) -> None:
+    # merge c into the sparse sum acc, dropping a key whose sum is zero
+    s = acc.get(key)
+    s = c if s is None else s + c
+    if s.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = s
+
+
 def _atomic_denominator(d: MPoly) -> bool:
     # safe to print unparenthesized after '/': an integer, or a single
     # coefficient-1 power of one variable
@@ -638,12 +656,11 @@ class DerivationAction:
     images: tuple[RatFunc, ...]
 
     def __post_init__(self):
-        assert len(self.images) == len(self.vars), "one image per variable"
-
-    def image_of(self, name: str) -> RatFunc:
-        if name not in self.vars:
-            raise UnknownVariable(f"variable '{name}' is not declared")
-        return self.images[self.vars.index(name)]
+        if len(self.images) != len(self.vars):
+            raise ArityMismatch(
+                f"derivation {self.name} needs one image per variable, "
+                f"got {len(self.images)} for {len(self.vars)}"
+            )
 
 
 def derive(action: DerivationAction, f: RatFunc) -> RatFunc:

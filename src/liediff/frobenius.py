@@ -3,8 +3,8 @@ basis-change condition checks.
 
 Rank computations clear denominators row by row and run fraction-free
 (Bareiss) elimination over the polynomial ring, so every division is exact.
-Inverses and null vectors use ordinary Gauss-Jordan over the field, which is
-equally exact here.
+Inverses and null vectors both come from one Gauss-Jordan routine over the
+field, ``_rref``, which is equally exact here.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from .errors import (
     NotIndependent,
     Violation,
 )
-from .field import DerivationAction, MPoly, RatFunc, derive, divexact, mpoly_gcd
-from .lie import Presentation, StructureConstants, apply_first_order
+from .field import DerivationAction, MPoly, RatFunc, divexact, mpoly_gcd
+from .lie import Presentation, StructureConstants, bracket_residuals
+from .ops import first_order_commutator
 
 Matrix = list  # list of rows of RatFunc
 
@@ -72,7 +73,8 @@ def matrix_rank(mat: Matrix) -> int:
 
 
 def matrix_invert(mat: Matrix) -> Matrix | None:
-    """Exact inverse over the field, or None if singular."""
+    """Exact inverse over the field, or None if singular: row-reduce
+    [mat | I], which is singular when a column of mat has no pivot."""
     n = len(mat)
     vars = mat[0][0].vars
     zero, one = RatFunc.zero(vars), RatFunc.const(vars, 1)
@@ -80,21 +82,14 @@ def matrix_invert(mat: Matrix) -> Matrix | None:
         list(row) + [one if i == j else zero for j in range(n)]
         for i, row in enumerate(mat)
     ]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if not aug[i][col].is_zero()), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = one / aug[col][col]
-        aug[col] = [ent * inv for ent in aug[col]]
-        for i in range(n):
-            if i != col and not aug[i][col].is_zero():
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+    rows, pivots = _rref(aug)
+    if any(c not in pivots for c in range(n)):
+        return None
+    return [row[n:] for row in rows]
 
 
 def _rref(mat: Matrix) -> tuple[Matrix, dict]:
+    # Gauss-Jordan: the reduced row echelon form and {pivot column: row}
     rows = [list(r) for r in mat]
     nr, nc = len(rows), len(rows[0]) if rows else 0
     vars = rows[0][0].vars
@@ -209,19 +204,11 @@ def commuting_basis(p: Presentation) -> tuple[Matrix, tuple]:
     actions = tuple(
         DerivationAction(f"Dbar{i + 1}", p.vars, tuple(images[i])) for i in range(n)
     )
-    violations = []
-    for r in range(n):
-        for s in range(r + 1, n):
-            for v, name in enumerate(p.vars):
-                res = apply_first_order(A[r], images[s][v], p) - apply_first_order(
-                    A[s], images[r][v], p
-                )
-                if not res.is_zero():
-                    violations.append(
-                        Violation(
-                            f"commutation of Dbar{r + 1}, Dbar{s + 1} on {name}", res
-                        )
-                    )
+    rebased = Presentation(p.vars, actions, StructureConstants.zero(n, p.vars))
+    violations = [
+        Violation(f"commutation of Dbar{r}, Dbar{s} on {name}", res)
+        for r, s, name, res in bracket_residuals(rebased)
+    ]
     if violations:
         raise CommutationFailure(violations)
     return A, actions
@@ -248,17 +235,9 @@ def change_basis_check(
     out = []
     for l in range(1, n + 1):
         for k in range(1, n + 1):
+            bracket = first_order_commutator(A[l - 1], A[k - 1], p)
             for j in range(1, n + 1):
-                res = RatFunc.zero(p.vars)
-                for i in range(1, n + 1):
-                    di = p.derivation(i)
-                    res = res + A[l - 1][i - 1] * derive(di, A[k - 1][j - 1])
-                    res = res - A[k - 1][i - 1] * derive(di, A[l - 1][j - 1])
-                for r in range(1, n + 1):
-                    for s in range(1, n + 1):
-                        c = p.alpha.get(r, s, j)
-                        if not c.is_zero():
-                            res = res + A[l - 1][r - 1] * A[k - 1][s - 1] * c
+                res = bracket[j - 1]
                 for m in range(1, n + 1):
                     c = beta.get(l, k, m)
                     if not c.is_zero():

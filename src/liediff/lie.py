@@ -3,8 +3,8 @@
 A presentation declares the generators of the base field, one action per
 derivation, and the structure constants tying the derivations together:
 [D_k, D_l] = sum_m alpha[k,l,m] * D_m.  The semantic check verifies that
-bracket relation on every generator, which suffices for the whole field
-because both sides are derivations.
+bracket relation on every generator (``bracket_residuals``), which suffices
+for the whole field because both sides are derivations.
 """
 
 from __future__ import annotations
@@ -102,25 +102,34 @@ def validate_jacobi(alpha: StructureConstants) -> list[Violation]:
     return out
 
 
-def check_presentation(p: Presentation) -> list[Violation]:
-    """Verify antisymmetry of alpha and the bracket relation on every
-    generator; an empty report means the relation holds on the whole field."""
-    out = validate_antisymmetry(p.alpha)
+def bracket_residuals(p: Presentation):
+    """Yield (k, l, variable, residual) for every k < l and declared variable
+    on which the bracket relation fails, in that order:
+
+        residual = D_k(D_l(v)) - D_l(D_k(v)) - sum_m alpha[k,l,m] * D_m(v).
+
+    Each D_k acts through its generator images alone, so the check does not
+    assume the structure constants it tests.  No residual means the relation
+    holds on the whole field, because both sides are derivations."""
     for k in range(1, p.n + 1):
         for l in range(k + 1, p.n + 1):
             dk, dl = p.derivation(k), p.derivation(l)
             for j, v in enumerate(p.vars):
-                lhs = derive(dk, dl.images[j]) - derive(dl, dk.images[j])
-                rhs = RatFunc.zero(p.vars)
+                r = derive(dk, dl.images[j]) - derive(dl, dk.images[j])
                 for m in range(1, p.n + 1):
                     c = p.alpha.get(k, l, m)
                     if not c.is_zero():
-                        rhs = rhs + c * p.derivation(m).images[j]
-                r = lhs - rhs
+                        r = r - c * p.derivation(m).images[j]
                 if not r.is_zero():
-                    out.append(
-                        Violation(f"bracket axiom at (k,l)=({k},{l}), variable {v}", r)
-                    )
+                    yield k, l, v, r
+
+
+def check_presentation(p: Presentation) -> list[Violation]:
+    """Verify antisymmetry of alpha and the bracket relation on every
+    generator; an empty report means the relation holds on the whole field."""
+    out = validate_antisymmetry(p.alpha)
+    for k, l, v, r in bracket_residuals(p):
+        out.append(Violation(f"bracket axiom at (k,l)=({k},{l}), variable {v}", r))
     return out
 
 

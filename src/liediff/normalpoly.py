@@ -25,7 +25,7 @@ from .errors import (
     UnboundSlot,
     UnknownDerivation,
 )
-from .field import RatFunc, derive, join_signed, needs_product_parens
+from .field import RatFunc, _add_to, derive, format_sum
 from .lie import Presentation
 from .ops import NormalOperator, PBWTable, apply_operator
 
@@ -72,12 +72,7 @@ class NormalPoly:
                 if not isinstance(g, str) and len(g) != n:
                     raise ArityMismatch(f"multi-index {g} has arity != {n}")
             if not c.is_zero():
-                prev = clean.get(m)
-                c = c if prev is None else prev + c
-                if c.is_zero():
-                    clean.pop(m, None)
-                    continue
-                clean[m] = c
+                _add_to(clean, m, c)
         self.terms = clean
 
     # -- constructors -----------------------------------------------------
@@ -124,12 +119,7 @@ class NormalPoly:
         self._require_compat(other)
         t = dict(self.terms)
         for m, c in other.terms.items():
-            s = t.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                t.pop(m, None)
-            else:
-                t[m] = s
+            _add_to(t, m, c)
         return NormalPoly(self.vars, self.n, t)
 
     def __neg__(self) -> "NormalPoly":
@@ -143,11 +133,7 @@ class NormalPoly:
         t: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                c = c1 * c2
-                s = t.get(m)
-                s = c if s is None else s + c
-                t[m] = s
+                _add_to(t, _mono_mul(m1, m2), c1 * c2)
         return NormalPoly(self.vars, self.n, t)
 
     def scale(self, c: RatFunc) -> "NormalPoly":
@@ -175,35 +161,20 @@ class NormalPoly:
         return hash((self.vars, self.n, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
+        pairs = []
         order = sorted(
             self.terms,
             key=lambda m: (_mono_degree(m), tuple((_genkey(g), e) for g, e in m)),
             reverse=True,
         )
         for m in order:
-            c = self.terms[m]
             gens = "*".join(
                 (g if isinstance(g, str) else "X[" + ",".join(map(str, g)) + "]")
                 + (f"^{e}" if e > 1 else "")
                 for g, e in m
             )
-            neg = c.negative_lead()
-            a = -c if neg else c
-            if gens:
-                if a.is_one():
-                    body = gens
-                else:
-                    cs = str(a)
-                    if needs_product_parens(a):
-                        cs = f"({cs})"
-                    body = f"{cs}*{gens}"
-            else:
-                body = f"({a})" if needs_product_parens(a) else str(a)
-            parts.append((neg, body))
-        return join_signed(parts)
+            pairs.append((self.terms[m], gens))
+        return format_sum(pairs)
 
     def __repr__(self) -> str:
         return f"NormalPoly({self})"
@@ -228,17 +199,18 @@ def x_action(i: int, I, p: Presentation) -> NormalPoly:
 def derive_normal(i: int, q: NormalPoly, p: Presentation) -> NormalPoly:
     """Extend the derivation D_i to normal polynomials: derive coefficients,
     act on the X_I through one PBW table, and apply Leibniz."""
+    table = PBWTable(p)
+    return _derive_with(i, q, p, lambda I: _linear(p, table.entry(i, I)))
+
+
+def _derive_with(i: int, q: NormalPoly, p: Presentation, on_x) -> NormalPoly:
+    # D_i derives the coefficients in the base field and sends X_I to on_x(I)
     if not 1 <= i <= p.n:
         raise UnknownDerivation(f"derivation index {i} not in 1..{p.n}")
-    table = PBWTable(p)
-    return _derive_with(q, p, lambda I: _linear(p, table.entry(i, I)),
-                        lambda c: derive(p.derivation(i), c))
-
-
-def _derive_with(q: NormalPoly, p: Presentation, on_x, on_coeff) -> NormalPoly:
+    action = p.derivation(i)
     out = NormalPoly.zero(q.vars, q.n)
     for m, c in q.terms.items():
-        dc = on_coeff(c)
+        dc = derive(action, c)
         if not dc.is_zero():
             out = out + NormalPoly(q.vars, q.n, {m: dc})
         for idx, (g, e) in enumerate(m):
@@ -341,11 +313,7 @@ class TruncatedExtension:
         return self.actions[(i, I)]
 
     def derive(self, i: int, q: NormalPoly) -> NormalPoly:
-        p = self.base
-        if not 1 <= i <= p.n:
-            raise UnknownDerivation(f"derivation index {i} not in 1..{p.n}")
-        return _derive_with(q, p, lambda I: self.action(i, I),
-                            lambda c: derive(p.derivation(i), c))
+        return _derive_with(i, q, self.base, lambda I: self.action(i, I))
 
 
 def fresh_extension(p: Presentation, d: int) -> TruncatedExtension:

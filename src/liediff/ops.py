@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import Iterable, Union
 
 from .errors import ArityMismatch, NegativeExponent, UnknownDerivation, UnknownVariable
-from .field import RatFunc, derive, join_signed, needs_product_parens
+from .field import RatFunc, _add_to, derive, format_sum
 from .lie import Presentation
 
 #: A factor of a composition term: a derivation index (1-based) or a coefficient.
@@ -169,12 +169,7 @@ class NormalOperator:
         self._require_compat(other)
         t = dict(self.terms)
         for I, c in other.terms.items():
-            s = t.get(I)
-            s = c if s is None else s + c
-            if s.is_zero():
-                t.pop(I, None)
-            else:
-                t[I] = s
+            _add_to(t, I, c)
         return NormalOperator(self.vars, self.n, t)
 
     def __neg__(self) -> "NormalOperator":
@@ -185,10 +180,6 @@ class NormalOperator:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def to_word(self) -> OpWord:
-        terms = [(c,) + _symbols(I) for I, c in self.terms.items()]
-        return OpWord(self.vars, self.n, terms)
 
     def __eq__(self, other) -> bool:
         return (
@@ -202,30 +193,15 @@ class NormalOperator:
         return hash((self.vars, self.n, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
+        pairs = []
         for I in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            c = self.terms[I]
             mon = "*".join(
                 f"D{k + 1}" if p == 1 else f"D{k + 1}^{p}"
                 for k, p in enumerate(I)
                 if p
             )
-            neg = c.negative_lead()
-            a = -c if neg else c
-            if mon:
-                if a.is_one():
-                    body = mon
-                else:
-                    cs = str(a)
-                    if needs_product_parens(a):
-                        cs = f"({cs})"
-                    body = f"{cs}*{mon}"
-            else:
-                body = f"({a})" if needs_product_parens(a) else str(a)
-            parts.append((neg, body))
-        return join_signed(parts)
+            pairs.append((self.terms[I], mon))
+        return format_sum(pairs)
 
     def __repr__(self) -> str:
         return f"NormalOperator({self})"
@@ -305,15 +281,6 @@ def _check_word(w: OpWord, p: Presentation, strategy: str) -> None:
         raise UnknownVariable("word and presentation declare different variables")
     if w.n != p.n:
         raise UnknownDerivation("word arity differs from the presentation")
-
-
-def _add_to(acc: dict, I, c: RatFunc) -> None:
-    s = acc.get(I)
-    s = c if s is None else s + c
-    if s.is_zero():
-        acc.pop(I, None)
-    else:
-        acc[I] = s
 
 
 def _times(a: RatFunc, b: RatFunc) -> RatFunc:
@@ -470,25 +437,22 @@ def apply_operator(a: NormalOperator | OpWord, f: RatFunc, p: Presentation) -> R
     """Apply an operator to a field element by repeated derivation."""
     if f.vars != p.vars:
         raise UnknownVariable("argument over a different variable tuple")
+    if a.n != p.n:
+        raise UnknownDerivation("operator arity differs from the presentation")
+    terms = (
+        a.terms
+        if isinstance(a, OpWord)
+        else [(c,) + _symbols(I) for I, c in a.terms.items()]
+    )
     out = RatFunc.zero(p.vars)
-    if isinstance(a, OpWord):
-        if a.n != p.n:
-            raise UnknownDerivation("word arity differs from the presentation")
-        for term in a.terms:
-            g = f
-            for fac in reversed(term):
-                if isinstance(fac, int):
-                    g = derive(p.derivation(fac), g)
-                else:
-                    g = fac * g
-            out = out + g
-        return out
-    for I, c in a.terms.items():
+    for term in terms:
         g = f
-        for k in range(p.n, 0, -1):
-            for _ in range(I[k - 1]):
-                g = derive(p.derivation(k), g)
-        out = out + c * g
+        for fac in reversed(term):
+            if isinstance(fac, int):
+                g = derive(p.derivation(fac), g)
+            else:
+                g = fac * g
+        out = out + g
     return out
 
 

@@ -25,7 +25,7 @@ from .errors import ExprSyntaxError, UnknownDerivation, UnknownVariable
 from .field import RatFunc
 from .lie import Presentation
 from .normalpoly import NormalPoly
-from .ops import OpWord
+from .ops import OpWord, apply_operator
 
 
 class _Tok(NamedTuple):
@@ -53,10 +53,15 @@ def _tokenize(text: str) -> list[_Tok]:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    """The shared grammar; each grammar supplies ``const(c)``, which lifts a
+    field element into its values, and ``name(tok)`` for identifier atoms."""
+
+    def __init__(self, text: str, vars: tuple[str, ...], pres: Presentation | None = None):
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.vars = vars
+        self.pres = pres
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -107,123 +112,85 @@ class _Parser:
         return a
 
     def atom(self):
-        raise NotImplementedError
+        tok = self.take()
+        if tok.kind == "int":
+            return self.const(RatFunc.const(self.vars, int(tok.text)))
+        if tok.kind == "name":
+            return self.name(tok)
+        if tok.kind == "(":
+            v = self.expr()
+            self.take(")")
+            return v
+        raise ExprSyntaxError(f"unexpected token '{tok.text or 'end of input'}'", tok.pos)
+
+    def variable(self, tok: _Tok) -> RatFunc:
+        if tok.text not in self.vars:
+            raise UnknownVariable(
+                f"variable '{tok.text}' is not declared (offset {tok.pos})"
+            )
+        return RatFunc.variable(self.vars, tok.text)
 
     def divide(self, v, f, pos):
         return v / f
 
 
 class _FieldParser(_Parser):
-    def __init__(self, text: str, vars: tuple[str, ...]):
-        super().__init__(text)
-        self.vars = vars
+    def const(self, c: RatFunc) -> RatFunc:
+        return c
 
-    def atom(self):
-        tok = self.peek()
-        if tok.kind == "int":
-            self.take()
-            return RatFunc.const(self.vars, int(tok.text))
-        if tok.kind == "name":
-            self.take()
-            if tok.text not in self.vars:
-                raise UnknownVariable(
-                    f"variable '{tok.text}' is not declared (offset {tok.pos})"
-                )
-            return RatFunc.variable(self.vars, tok.text)
-        if tok.kind == "(":
-            self.take()
-            v = self.expr()
-            self.take(")")
-            return v
-        raise ExprSyntaxError(f"unexpected token '{tok.text or 'end of input'}'", tok.pos)
+    def name(self, tok: _Tok) -> RatFunc:
+        return self.variable(tok)
 
 
 _DSYM = re.compile(r"^D(\d+)$")
 
 
 class _OperatorParser(_Parser):
-    def __init__(self, text: str, pres: Presentation):
-        super().__init__(text)
-        self.pres = pres
+    def const(self, c: RatFunc) -> OpWord:
+        return OpWord.coefficient(c, self.pres.n)
 
-    def atom(self):
-        tok = self.peek()
-        vars, n = self.pres.vars, self.pres.n
-        if tok.kind == "int":
-            self.take()
-            return OpWord.coefficient(RatFunc.const(vars, int(tok.text)), n)
-        if tok.kind == "name":
-            self.take()
-            m = _DSYM.match(tok.text)
-            if m:
-                k = int(m.group(1))
-                if not 1 <= k <= n:
-                    raise UnknownDerivation(
-                        f"derivation D{k} not in D1..D{n} (offset {tok.pos})"
-                    )
-                return OpWord.derivation(vars, n, k)
-            if tok.text not in vars:
-                raise UnknownVariable(
-                    f"variable '{tok.text}' is not declared (offset {tok.pos})"
-                )
-            return OpWord.coefficient(RatFunc.variable(vars, tok.text), n)
-        if tok.kind == "(":
-            self.take()
-            v = self.expr()
-            self.take(")")
-            return v
-        raise ExprSyntaxError(f"unexpected token '{tok.text or 'end of input'}'", tok.pos)
+    def name(self, tok: _Tok) -> OpWord:
+        m = _DSYM.match(tok.text)
+        if not m:
+            return self.const(self.variable(tok))
+        k = int(m.group(1))
+        n = self.pres.n
+        if not 1 <= k <= n:
+            raise UnknownDerivation(
+                f"derivation D{k} not in D1..D{n} (offset {tok.pos})"
+            )
+        return OpWord.derivation(self.vars, n, k)
 
     def divide(self, v, f, pos):
         if f.has_symbols():
             raise ExprSyntaxError("cannot divide by a differential operator", pos)
-        total = RatFunc.zero(self.pres.vars)
-        for term in f.terms:
-            c = RatFunc.const(self.pres.vars, 1)
-            for fac in term:
-                c = c * fac
-            total = total + c
-        one = RatFunc.const(self.pres.vars, 1)
-        return v * OpWord.coefficient(one / total, self.pres.n)
+        # a word without derivations applied to 1 is its value in the field
+        total = apply_operator(f, RatFunc.const(self.vars, 1), self.pres)
+        return v * self.const(total.reciprocal())
 
 
 class _NormalPolyParser(_Parser):
-    def __init__(self, text: str, pres: Presentation):
-        super().__init__(text)
-        self.pres = pres
+    def const(self, c: RatFunc) -> NormalPoly:
+        return NormalPoly.const(self.vars, self.pres.n, c)
 
-    def atom(self):
-        tok = self.peek()
-        vars, n = self.pres.vars, self.pres.n
-        if tok.kind == "int":
+    def name(self, tok: _Tok) -> NormalPoly:
+        if tok.text == "X" and self.peek().kind == "[":
             self.take()
-            return NormalPoly.const(vars, n, RatFunc.const(vars, int(tok.text)))
-        if tok.kind == "name":
-            self.take()
-            if tok.text == "X" and self.peek().kind == "[":
+            idx = [int(self.take("int").text)]
+            while self.peek().kind == ",":
                 self.take()
-                idx = [int(self.take("int").text)]
-                while self.peek().kind == ",":
-                    self.take()
-                    idx.append(int(self.take("int").text))
-                self.take("]")
-                return NormalPoly.xvar(vars, n, tuple(idx))
-            if tok.text in vars:
-                return NormalPoly.const(vars, n, RatFunc.variable(vars, tok.text))
-            return NormalPoly.slot(vars, n, tok.text)
-        if tok.kind == "(":
-            self.take()
-            v = self.expr()
-            self.take(")")
-            return v
-        raise ExprSyntaxError(f"unexpected token '{tok.text or 'end of input'}'", tok.pos)
+                idx.append(int(self.take("int").text))
+            self.take("]")
+            return NormalPoly.xvar(self.vars, self.pres.n, tuple(idx))
+        if tok.text in self.vars:
+            return self.const(RatFunc.variable(self.vars, tok.text))
+        return NormalPoly.slot(self.vars, self.pres.n, tok.text)
 
     def divide(self, v, f, pos):
         if f.x_support() or f.slots():
             raise ExprSyntaxError("cannot divide by a normal-polynomial variable", pos)
-        c = f.terms.get((), RatFunc.zero(self.pres.vars))
-        one = RatFunc.const(self.pres.vars, 1)
-        return v.scale(one / c)
+        c = f.terms.get((), RatFunc.zero(self.vars))
+        return v.scale(c.reciprocal())
 
 
 def parse_field_expr(text: str, vars) -> RatFunc:
@@ -233,10 +200,10 @@ def parse_field_expr(text: str, vars) -> RatFunc:
 
 def parse_operator_expr(text: str, pres: Presentation) -> OpWord:
     """Parse an operator expression, preserving composition order."""
-    return _OperatorParser(text, pres).parse()
+    return _OperatorParser(text, pres.vars, pres).parse()
 
 
 def parse_normalpoly_expr(text: str, pres: Presentation) -> NormalPoly:
     """Parse a normal-polynomial expression; undeclared identifiers become
     placeholder slots."""
-    return _NormalPolyParser(text, pres).parse()
+    return _NormalPolyParser(text, pres.vars, pres).parse()

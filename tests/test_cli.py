@@ -153,6 +153,11 @@ class TestCommands:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("matrix", ["identity.json", "basisA.json"])
+    def test_check_commuting_is_check_basis_without_beta(self, capsys, matrix):
+        args = ("-p", DATA / "p1.json", "-A", DATA / matrix)
+        assert run(capsys, "check-commuting", *args) == run(capsys, "check-basis", *args)
+
     def test_derive_normal(self, capsys):
         code, out = run(capsys, "derive-normal", "-p", DATA / "p1.json", "2", "X[1,0]")
         assert code == 0

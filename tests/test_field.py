@@ -117,6 +117,18 @@ class TestArith:
             "    except NegativeExponent:\n"
             "        continue\n"
             "    raise SystemExit(f'{type(base).__name__} ** -1 did not raise')\n"
+            "one = RatFunc.const(('x', 'y'), 1)\n"
+            "cases = [\n"
+            "    (NotConstant, lambda: RatFunc.variable(('x', 'y'), 'x').const_value()),\n"
+            "    (ArityMismatch, lambda: DerivationAction('D', ('x', 'y'), (one,))),\n"
+            "    (ArityMismatch, lambda: MPoly(('x',), {(1, 2): 1})),\n"
+            "]\n"
+            "for i, (err, call) in enumerate(cases):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except err:\n"
+            "        continue\n"
+            "    raise SystemExit(f'case {i} did not raise {err.__name__}')\n"
         )
         path = [str(Path(__file__).resolve().parents[1] / "src")]
         path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []

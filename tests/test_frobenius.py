@@ -45,6 +45,10 @@ class TestMatrixHelpers:
     def test_rank_with_denominators(self, p1):
         assert matrix_rank(matrix(p1, [["1/x", "0"], ["1", "1/(y+1)"]])) == 2
 
+    def test_invert_singular(self, p1):
+        assert matrix_invert(matrix(p1, [["1", "x"], ["y", "x*y"]])) is None
+        assert matrix_invert(matrix(p1, [["0", "1"], ["0", "x"]])) is None
+
     def test_invert_roundtrip(self, p1):
         rng = random.Random(81)
         for _ in range(10):
@@ -115,8 +119,12 @@ class TestCommutingBasis:
         bad = make_presentation(
             ("x", "y", "z"), [("1", "0", "0"), ("0", "1", "x")], {}
         )
-        with pytest.raises(CommutationFailure):
+        with pytest.raises(CommutationFailure) as exc:
             commuting_basis(bad)
+        assert str(exc.value) == (
+            "constructed basis does not commute: "
+            "commutation of Dbar1, Dbar2 on z: residual = 1"
+        )
 
     def test_heisenberg(self, p_heis):
         A, _ = commuting_basis(p_heis)

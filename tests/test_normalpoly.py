@@ -212,6 +212,25 @@ class TestPrinting:
         q = np_("X[1,1]*X[0,1] + 2*X[1,0]^2 - y", p1)
         assert parse_normalpoly_expr(str(q), p1) == q
 
+    @pytest.mark.parametrize(
+        "text, printed",
+        [
+            ("X[1,0]", "X[1,0]"),
+            ("-X[0,1]", "-X[0,1]"),
+            ("(x+y)*X[1,1]^2", "(x + y)*X[1,1]^2"),
+            ("(y-x)*X[1,0]", "-(x - y)*X[1,0]"),
+            ("x/y*X[1,0] - 3", "x/y*X[1,0] - 3"),
+            ("1/2*a^3*X[0,0]", "1/2*a^3*X[0,0]"),
+            ("7", "7"),
+            ("x+y", "(x + y)"),
+            ("0", "0"),
+            ("-(x+1)/(y-1)*X[2,0]*b^2 + a", "-(x + 1)/(y - 1)*b^2*X[2,0] + a"),
+            ("X[1,0]^2*X[0,1] - (x^2+1)*c2*c10^2", "X[0,1]*X[1,0]^2 - (x^2 + 1)*c2*c10^2"),
+        ],
+    )
+    def test_exact_text(self, p1, text, printed):
+        assert str(np_(text, p1)) == printed
+
     def test_roundtrip_random(self, p1):
         rng = random.Random(73)
         for _ in range(25):

@@ -170,6 +170,34 @@ class TestApply:
         got = apply_operator(NormalOperator.zero(p1.vars, p1.n), rf("x^2", p1), p1)
         assert got.is_zero()
 
+    @pytest.mark.parametrize("n, I", [(3, (0, 0, 1)), (1, (1,))])
+    def test_operator_arity_checked(self, p1, n, I):
+        # a derivation the presentation lacks is neither dropped nor an IndexError
+        a = NormalOperator.monomial(p1.vars, n, I, rf("1", p1))
+        with pytest.raises(UnknownDerivation):
+            apply_operator(a, rf("x^2*y", p1), p1)
+
+
+class TestPrinting:
+    @pytest.mark.parametrize(
+        "text, printed",
+        [
+            ("D1", "D1"),
+            ("-D2", "-D2"),
+            ("(x+y)*D1^2*D2", "(x + y)*D1^2*D2"),
+            ("(y-x)*D1", "-(x - y)*D1"),
+            ("x/y*D2 - 3", "x/y*D2 - 3"),
+            ("-(x+1)/(y-1)*D1*D2^3", "-(x + 1)/(y - 1)*D1*D2^3"),
+            ("1/2*D1", "1/2*D1"),
+            ("7", "7"),
+            ("x + y", "(x + y)"),
+            ("0", "0"),
+            ("-x*D1 + (x^2+1)*D2^2 - 5/3", "(x^2 + 1)*D2^2 - x*D1 - 5/3"),
+        ],
+    )
+    def test_exact_text(self, p1, text, printed):
+        assert str(normalize(parse_operator_expr(text, p1), p1)) == printed
+
 
 class TestCommutator:
     def test_self_commutator_vanishes(self, p1):
