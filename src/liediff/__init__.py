@@ -14,6 +14,7 @@ from .errors import (
     DivisionByZero,
     ExprSyntaxError,
     IndexOutOfRange,
+    InvariantBroken,
     IoError,
     LieDiffError,
     NegativeExponent,
@@ -75,6 +76,7 @@ from .ops import (
     NormalOperator,
     OpWord,
     apply_operator,
+    first_order_brackets,
     first_order_commutator,
     normalize,
     op_add,

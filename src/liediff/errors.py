@@ -43,6 +43,11 @@ class NotConstant(LieDiffError):
     element."""
 
 
+class InvariantBroken(LieDiffError):
+    """An engine's internal invariant failed: a bug in the engine, not in the
+    input."""
+
+
 class NonConstantStructureConstants(LieDiffError):
     """The abstract Jacobi test only applies to constant structure constants."""
 

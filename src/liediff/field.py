@@ -5,6 +5,15 @@ denominator carry integer coefficients, their contents are coprime, the pair
 has no common polynomial factor, and the denominator's leading coefficient
 under graded lex is positive.  Equal field elements therefore have identical
 representations, so equality is structural.
+
+Coefficients are stored as plain ``int`` whenever they are integral, which
+canonical numerators and denominators always are; a ``Fraction`` appears only
+for a non-integral coefficient of an intermediate polynomial.  ``MPoly``
+normalizes every coefficient once, on construction.  Since ``3 == Fraction(3)``,
+their hashes agree and both print as ``3``, equality, hashing and printing
+do not depend on the stored type.  Every coefficient division goes through
+``_coef_div``, which returns ``a // b`` when ``b`` divides ``a`` and a
+``Fraction`` otherwise, so no float ever enters a polynomial.
 """
 
 from __future__ import annotations
@@ -34,6 +43,23 @@ def _grlex(e: tuple[int, ...]):
     return (sum(e), e)
 
 
+def _coef(c) -> int | Fraction:
+    # the stored form of a coefficient: an int when integral, else a Fraction
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _coef_div(a, b) -> int | Fraction:
+    """Exact quotient of two coefficients: ``a // b`` when both are ints and
+    ``b`` divides ``a``, otherwise a Fraction; never a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _coef(Fraction(a, b))
+
+
 class MPoly:
     """Sparse polynomial over Q in a fixed ordered tuple of variables."""
 
@@ -41,14 +67,16 @@ class MPoly:
 
     def __init__(self, vars: Iterable[str], terms: dict):
         self.vars = tuple(vars)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        nv = len(self.vars)
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         for e, c in terms.items():
-            if not isinstance(c, Fraction):
-                c = Fraction(c)
+            if type(c) is not int:
+                c = _coef(c)
             if c:
-                e = tuple(e)
-                if len(e) != len(self.vars):
-                    raise ArityMismatch(f"exponent {e} has arity != {len(self.vars)}")
+                if type(e) is not tuple:
+                    e = tuple(e)
+                if len(e) != nv:
+                    raise ArityMismatch(f"exponent {e} has arity != {nv}")
                 clean[e] = c
         self.terms = clean
 
@@ -61,7 +89,7 @@ class MPoly:
     @classmethod
     def const(cls, vars: Iterable[str], c) -> "MPoly":
         vars = tuple(vars)
-        return cls(vars, {(0,) * len(vars): Fraction(c)})
+        return cls(vars, {(0,) * len(vars): c})
 
     @classmethod
     def variable(cls, vars: Iterable[str], name: str) -> "MPoly":
@@ -69,7 +97,7 @@ class MPoly:
         if name not in vars:
             raise UnknownVariable(f"variable '{name}' is not declared")
         e = tuple(1 if v == name else 0 for v in vars)
-        return cls(vars, {e: Fraction(1)})
+        return cls(vars, {e: 1})
 
     # -- predicates --------------------------------------------------------
 
@@ -85,10 +113,16 @@ class MPoly:
         if len(self.terms) == 1:
             ((e, c),) = self.terms.items()
             if not any(e):
-                return c
+                return Fraction(c)
         raise NotConstant(f"polynomial {self} is not a constant")
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
+    def _is_one(self) -> bool:
+        if len(self.terms) != 1:
+            return False
+        ((e, c),) = self.terms.items()
+        return c == 1 and not any(e)
+
+    def leading(self) -> tuple[tuple[int, ...], int | Fraction]:
         e = max(self.terms, key=_grlex)
         return e, self.terms[e]
 
@@ -102,7 +136,7 @@ class MPoly:
         self._require_same_vars(other)
         t = dict(self.terms)
         for e, c in other.terms.items():
-            t[e] = t.get(e, Fraction(0)) + c
+            t[e] = t.get(e, 0) + c
         return MPoly(self.vars, t)
 
     def __neg__(self) -> "MPoly":
@@ -113,16 +147,18 @@ class MPoly:
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._require_same_vars(other)
-        t: dict[tuple[int, ...], Fraction] = {}
+        t: dict[tuple[int, ...], int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                t[e] = t.get(e, Fraction(0)) + c1 * c2
+                t[e] = t.get(e, 0) + c1 * c2
         return MPoly(self.vars, t)
 
     def _scale(self, c) -> "MPoly":
-        c = Fraction(c)
         return MPoly(self.vars, {e: k * c for e, k in self.terms.items()})
+
+    def _divide(self, c) -> "MPoly":
+        return MPoly(self.vars, {e: _coef_div(k, c) for e, k in self.terms.items()})
 
     def __pow__(self, k: int) -> "MPoly":
         if k < 0:
@@ -138,23 +174,26 @@ class MPoly:
 
     def partial(self, j: int) -> "MPoly":
         """Formal partial derivative with respect to the j-th variable."""
-        t: dict[tuple[int, ...], Fraction] = {}
+        t: dict[tuple[int, ...], int | Fraction] = {}
         for e, c in self.terms.items():
             if e[j]:
                 e2 = e[:j] + (e[j] - 1,) + e[j + 1 :]
-                t[e2] = t.get(e2, Fraction(0)) + c * e[j]
+                t[e2] = t.get(e2, 0) + c * e[j]
         return MPoly(self.vars, t)
 
     # -- content and gcd -----------------------------------------------------
 
-    def content(self) -> Fraction:
+    def content(self) -> int | Fraction:
         """Signed rational content; self / content() has coprime integer
         coefficients and positive leading coefficient."""
         if not self.terms:
-            return Fraction(0)
-        g = Fraction(0)
-        for c in self.terms.values():
-            g = _frac_gcd(g, c)
+            return 0
+        try:
+            g = _igcd(*self.terms.values())
+        except TypeError:  # a Fraction coefficient
+            g = 0
+            for c in self.terms.values():
+                g = _frac_gcd(g, c)
         _, lead = self.leading()
         return -g if lead < 0 else g
 
@@ -162,7 +201,7 @@ class MPoly:
         c = self.content()
         if not c or c == 1:
             return self
-        return self._scale(1 / c)
+        return self._divide(c)
 
     # -- comparison / display -------------------------------------------------
 
@@ -206,8 +245,10 @@ def join_signed(parts: list[tuple[bool, str]]) -> str:
     return out
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
+def _frac_gcd(a, b) -> int | Fraction:
     # gcd(p/q, r/s) = gcd(p, r) / lcm(q, s); nonnegative, gcd(a, 0) = |a|
+    if type(a) is int and type(b) is int:
+        return _igcd(a, b)
     if not a:
         return abs(b)
     if not b:
@@ -223,20 +264,21 @@ def divexact(f: MPoly, g: MPoly) -> MPoly:
         return f
     f._require_same_vars(g)
     if g.is_const():
-        return f._scale(1 / g.const_value())
+        ((_, c),) = g.terms.items()
+        return f._divide(c)
     ge, gc = g.leading()
-    q: dict[tuple[int, ...], Fraction] = {}
+    q: dict[tuple[int, ...], int | Fraction] = {}
     rest = dict(f.terms)
     while rest:
         fe = max(rest, key=_grlex)
         qe = tuple(a - b for a, b in zip(fe, ge))
         if any(x < 0 for x in qe):
             raise ValueError("inexact polynomial division")
-        qc = rest[fe] / gc
+        qc = _coef_div(rest[fe], gc)
         q[qe] = qc
         for e2, c2 in g.terms.items():
             e = tuple(a + b for a, b in zip(qe, e2))
-            nc = rest.get(e, Fraction(0)) - qc * c2
+            nc = rest.get(e, 0) - qc * c2
             if nc:
                 rest[e] = nc
             else:
@@ -302,9 +344,12 @@ def _univariate_image(f: MPoly, m: int, point) -> dict | None:
     p = _GCD_PRIME
     out: dict[int, int] = {}
     for e, c in f.terms.items():
-        if c.denominator % p == 0:
+        if type(c) is int:
+            v = c % p
+        elif c.denominator % p == 0:
             return None
-        v = c.numerator * pow(c.denominator, -1, p) % p
+        else:
+            v = c.numerator * pow(c.denominator, -1, p) % p
         for j, q in enumerate(e):
             if j != m and q:
                 v = v * pow(point[j] % p, q, p) % p
@@ -405,7 +450,8 @@ def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
     if g.is_zero():
         return f.primitive_part()._scale(abs(f.content()))
     c = _frac_gcd(f.content(), g.content())
-    return _pp_gcd(f.primitive_part(), g.primitive_part())._scale(c)
+    h = _pp_gcd(f.primitive_part(), g.primitive_part())
+    return h if c == 1 else h._scale(c)
 
 
 class RatFunc:
@@ -449,12 +495,7 @@ class RatFunc:
         return self.num.is_zero()
 
     def is_one(self) -> bool:
-        return (
-            self.num.is_const()
-            and self.den.is_const()
-            and self.num.const_value() == 1
-            and self.den.const_value() == 1
-        )
+        return self.num._is_one() and self.den._is_one()
 
     def is_const(self) -> bool:
         return self.num.is_const() and self.den.is_const()
@@ -464,7 +505,9 @@ class RatFunc:
             raise NotConstant(f"field element {self} is not a constant")
         if self.is_zero():
             return Fraction(0)
-        return self.num.const_value() / self.den.const_value()
+        ((_, n),) = self.num.terms.items()
+        ((_, d),) = self.den.terms.items()
+        return Fraction(_coef_div(n, d))
 
     def negative_lead(self) -> bool:
         """Sign used by canonical printing: the numerator's leading sign."""
@@ -551,7 +594,7 @@ class RatFunc:
 
     def __str__(self) -> str:
         ns = str(self.num)
-        if self.den.is_const() and self.den.const_value() == 1:
+        if self.den._is_one():
             return ns
         if len(self.num.terms) > 1:
             ns = f"({ns})"
@@ -566,7 +609,7 @@ class RatFunc:
 
 def needs_product_parens(c: "RatFunc") -> bool:
     """True when printing c directly before '*' would split its top-level sum."""
-    return len(c.num.terms) > 1 and c.den.is_const() and c.den.const_value() == 1
+    return len(c.num.terms) > 1 and c.den._is_one()
 
 
 def format_sum(pairs) -> str:
@@ -616,7 +659,7 @@ def _canonical_scale(num: MPoly, den: MPoly) -> RatFunc:
         return RatFunc.zero(num.vars)
     c = _frac_gcd(num.content(), den.content())
     if c != 1:
-        num, den = num._scale(1 / c), den._scale(1 / c)
+        num, den = num._divide(c), den._divide(c)
     if den.leading()[1] < 0:
         num, den = -num, -den
     return RatFunc(num, den)
@@ -669,7 +712,7 @@ def derive(action: DerivationAction, f: RatFunc) -> RatFunc:
     if f.vars != action.vars:
         raise UnknownVariable("value and derivation are over different variables")
     dnum = _derive_poly(action, f.num)
-    if f.den.is_const() and f.den.const_value() == 1:
+    if f.den._is_one():
         return dnum
     n = RatFunc.from_poly(f.num)
     d = RatFunc.from_poly(f.den)

@@ -15,13 +15,14 @@ from itertools import combinations
 from .errors import (
     ArityMismatch,
     CommutationFailure,
+    InvariantBroken,
     NoCoordinateSubset,
     NotIndependent,
     Violation,
 )
 from .field import DerivationAction, MPoly, RatFunc, divexact, mpoly_gcd
 from .lie import Presentation, StructureConstants, bracket_residuals
-from .ops import first_order_commutator
+from .ops import first_order_brackets
 
 Matrix = list  # list of rows of RatFunc
 
@@ -167,7 +168,8 @@ def linear_independence(p: Presentation) -> IndependenceCertificate:
         return IndependenceCertificate(True, columns=cols)
     transpose = [[M[i][j] for i in range(n)] for j in range(t)]
     b = _null_vector(transpose, n)
-    assert b is not None
+    if b is None:
+        raise InvariantBroken("rank below n but no null vector was found")
     return IndependenceCertificate(False, combination=tuple(b))
 
 
@@ -232,10 +234,11 @@ def change_basis_check(
         raise ArityMismatch(f"basis matrix must be {n}x{n}")
     if beta.n != n:
         raise ArityMismatch("target structure constants have the wrong dimension")
+    brackets = first_order_brackets(A, p)
     out = []
     for l in range(1, n + 1):
         for k in range(1, n + 1):
-            bracket = first_order_commutator(A[l - 1], A[k - 1], p)
+            bracket = brackets[l - 1][k - 1]
             for j in range(1, n + 1):
                 res = bracket[j - 1]
                 for m in range(1, n + 1):

@@ -29,15 +29,22 @@ Both rules preserve the operator's action on the field, so applying the
 normal form to any element agrees with applying the original word.  Each
 rewrite strictly decreases the measure (number of derivation factors, number
 of out-of-order derivation pairs, number of coefficients standing right of a
-derivation), which forces termination; the oracle asserts the decrease at
-every step.  Its cost is exponential in the length of a word.
+derivation), which forces termination; the oracle checks the decrease at
+every step and raises ``InvariantBroken`` if it fails.  Its cost is
+exponential in the length of a word.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Union
 
-from .errors import ArityMismatch, NegativeExponent, UnknownDerivation, UnknownVariable
+from .errors import (
+    ArityMismatch,
+    InvariantBroken,
+    NegativeExponent,
+    UnknownDerivation,
+    UnknownVariable,
+)
 from .field import RatFunc, _add_to, derive, format_sum
 from .lie import Presentation
 
@@ -266,7 +273,8 @@ def _collect(term, vars, n) -> tuple[tuple[int, ...], RatFunc]:
     prev = 0
     for f in term:
         if isinstance(f, int):
-            assert f >= prev, "term is not normal-ordered"
+            if f < prev:
+                raise InvariantBroken("term is not normal-ordered")
             prev = f
             I[f - 1] += 1
         else:
@@ -408,7 +416,8 @@ def rewrite_normalize(w: OpWord, p: Presentation, strategy: str = "leftmost", st
         steps += 1
         before = _measure(term)
         for child in _rewrite_at(term, i, p):
-            assert _measure(child) < before, "rewrite did not decrease the measure"
+            if _measure(child) >= before:
+                raise InvariantBroken("rewrite did not decrease the measure")
             stack.append(child)
     if stats is not None:
         stats["steps"] = steps
@@ -456,25 +465,55 @@ def apply_operator(a: NormalOperator | OpWord, f: RatFunc, p: Presentation) -> R
     return out
 
 
-def first_order_commutator(u, v, p: Presentation):
-    """Coefficient vector of the bracket of two first-order operators.
+def first_order_brackets(rows, p: Presentation):
+    """Coefficient vectors of the brackets of first-order operators.
 
-    For U = sum_i u[i] D_i and V = sum_i v[i] D_i the bracket [U, V] is again
-    first order, with j-th coefficient
-    sum_i (u[i] D_i(v[j]) - v[i] D_i(u[j])) + sum_{r,s} u[r] v[s] alpha[r,s,j].
+    For U_l = sum_i rows[l][i] D_i the bracket [U_l, U_k] is again first
+    order; ``out[l][k][j]`` is its j-th coefficient
+
+        U_l(rows[k][j]) - U_k(rows[l][j])
+          + sum_{r,s} rows[l][r] rows[k][s] alpha[r,s,j].
+
+    Every D_i(rows[k][j]) is derived once, and every U_l(rows[k][j]) is
+    summed once.  Antisymmetry is not assumed: each ordered pair (l, k) is
+    computed from the formula, so alpha need not be antisymmetric.
     """
-    if len(u) != p.n or len(v) != p.n:
+    n = p.n
+    if any(len(row) != n for row in rows):
         raise ArityMismatch("coefficient vectors must have one slot per derivation")
-    out = []
-    for j in range(p.n):
-        w = RatFunc.zero(p.vars)
-        for i in range(p.n):
-            w = w + u[i] * derive(p.derivations[i], v[j])
-            w = w - v[i] * derive(p.derivations[i], u[j])
-        for r in range(1, p.n + 1):
-            for s in range(1, p.n + 1):
-                c = p.alpha.get(r, s, j + 1)
+    zero = RatFunc.zero(p.vars)
+    # d[k][j] = (D_1(rows[k][j]), ..., D_n(rows[k][j]))
+    d = [[[derive(D, x) for D in p.derivations] for x in row] for row in rows]
+
+    def act(u, dx):
+        # U(x) = sum_i u[i] D_i(x), from the derivatives dx of x
+        return sum((c * e for c, e in zip(u, dx) if not e.is_zero()), zero)
+
+    # act_lk[l][k][j] = U_l(rows[k][j])
+    act_lk = [[[act(u, dx) for dx in dk] for dk in d] for u in rows]
+    # the nonzero alpha[r,s,j] for each j, 0-based
+    alpha = [[] for _ in range(n)]
+    for r in range(n):
+        for s in range(n):
+            for j in range(n):
+                c = p.alpha.get(r + 1, s + 1, j + 1)
                 if not c.is_zero():
-                    w = w + u[r - 1] * v[s - 1] * c
-        out.append(w)
+                    alpha[j].append((r, s, c))
+    out = []
+    for l, u in enumerate(rows):
+        out.append([])
+        for k, v in enumerate(rows):
+            bracket = []
+            for j in range(n):
+                w = act_lk[l][k][j] - act_lk[k][l][j]
+                for r, s, c in alpha[j]:
+                    w = w + u[r] * v[s] * c
+                bracket.append(w)
+            out[l].append(bracket)
     return out
+
+
+def first_order_commutator(u, v, p: Presentation):
+    """Coefficient vector of the bracket [U, V] of U = sum_i u[i] D_i and
+    V = sum_i v[i] D_i; see ``first_order_brackets``."""
+    return first_order_brackets([u, v], p)[0][1]

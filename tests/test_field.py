@@ -105,9 +105,12 @@ class TestArith:
             MPoly.variable(VARS, "x") ** -1
 
     def test_negative_powers_rejected_under_optimize(self):
-        # the checks raise, so they survive python -O (an assert would not)
+        # the checks raise, so they survive python -O (an assert would not);
+        # this also covers the invariants of the rewrite oracle and of
+        # linear_independence
         code = (
             "from liediff import *\n"
+            "from liediff import frobenius, ops\n"
             "x = MPoly.variable(('x',), 'x')\n"
             "w = OpWord(('x',), 1, [(1,)])\n"
             "q = NormalPoly.xvar(('x',), 1, (1,))\n"
@@ -122,7 +125,15 @@ class TestArith:
             "    (NotConstant, lambda: RatFunc.variable(('x', 'y'), 'x').const_value()),\n"
             "    (ArityMismatch, lambda: DerivationAction('D', ('x', 'y'), (one,))),\n"
             "    (ArityMismatch, lambda: MPoly(('x',), {(1, 2): 1})),\n"
+            # the engines' internal invariants, broken on purpose
+            "    (InvariantBroken, lambda: ops._collect((2, 1), ('x',), 2)),\n"
             "]\n"
+            "ops._measure = lambda term: (0, 0, 0)\n"
+            "w = OpWord(('x',), 1, [(1, RatFunc.variable(('x',), 'x'))])\n"
+            "p = Presentation(('x',), (coordinate_delta(('x',), 1),), StructureConstants.zero(1, ('x',)))\n"
+            "cases.append((InvariantBroken, lambda: rewrite_normalize(w, p)))\n"
+            "frobenius.matrix_rank = lambda mat: 0\n"
+            "cases.append((InvariantBroken, lambda: linear_independence(p)))\n"
             "for i, (err, call) in enumerate(cases):\n"
             "    try:\n"
             "        call()\n"

@@ -5,6 +5,7 @@ import pytest
 from liediff import (
     ArityMismatch,
     NotIndependent,
+    Presentation,
     RatFunc,
     StructureConstants,
     apply_first_order,
@@ -18,6 +19,7 @@ from liediff import (
     matrix_rank,
     parse_field_expr,
 )
+from liediff import ops
 from conftest import make_presentation, rand_poly, rand_ratfunc
 
 
@@ -195,6 +197,85 @@ class TestChangeBasisCheck:
                         if w[j] != target:
                             ok = False
             assert report_empty == ok
+
+
+def _per_pair_report(A, beta, pres):
+    # reference: each bracket coefficient straight from the formula, one
+    # (l,k) pair at a time, with apply_first_order as the derivation route
+    n = pres.n
+    out = []
+    for l in range(n):
+        for k in range(n):
+            for j in range(n):
+                res = apply_first_order(A[l], A[k][j], pres) - apply_first_order(
+                    A[k], A[l][j], pres
+                )
+                for r in range(n):
+                    for s in range(n):
+                        res = res + A[l][r] * A[k][s] * pres.alpha.get(r + 1, s + 1, j + 1)
+                for m in range(n):
+                    res = res - beta.get(l + 1, k + 1, m + 1) * A[m][j]
+                if not res.is_zero():
+                    out.append(f"(l,k,j)=({l + 1},{k + 1},{j + 1}): residual = {res}")
+    return out
+
+
+def _skewed(pres, rng):
+    # structure constants that are not antisymmetric, as --no-validate admits
+    entries = {
+        (k, l, m): RatFunc.from_poly(rand_poly(rng, pres.vars, 1))
+        for k in range(1, pres.n + 1)
+        for l in range(1, pres.n + 1)
+        for m in range(1, pres.n + 1)
+        if rng.random() < 0.4
+    }
+    return StructureConstants.from_entries(pres.n, pres.vars, entries)
+
+
+class TestFirstOrderBrackets:
+    def test_derives_each_entry_once(self, p_heis, monkeypatch):
+        A, _ = commuting_basis(p_heis)
+        calls = []
+        derive = ops.derive
+
+        def counting(action, f):
+            calls.append(action.name)
+            return derive(action, f)
+
+        monkeypatch.setattr(ops, "derive", counting)
+        assert commuting_check(A, p_heis) == []
+        assert len(calls) == 27  # n^3 for n = 3: D_i of every entry A[k][j]
+
+    @pytest.mark.parametrize("fixture", ["p1", "p_nc", "p_heis"])
+    def test_report_matches_per_pair_reference(self, fixture, request):
+        pres = request.getfixturevalue(fixture)
+        rng = random.Random(84)
+        n = pres.n
+        for trial in range(2):
+            A = [[rand_ratfunc(rng, pres.vars, 1) for _ in range(n)] for _ in range(n)]
+            beta = (pres.alpha, StructureConstants.zero(n, pres.vars))[trial % 2]
+            got = [str(v) for v in change_basis_check(A, beta, pres)]
+            assert got == _per_pair_report(A, beta, pres)
+
+    def test_non_antisymmetric_constants(self, p_nc):
+        # every ordered (l,k) pair, the diagonal included, comes from the
+        # formula; nothing is mirrored from (k,l)
+        rng = random.Random(85)
+        skewed = Presentation(p_nc.vars, p_nc.derivations, _skewed(p_nc, rng))
+        for _ in range(4):
+            A = [[rand_ratfunc(rng, p_nc.vars, 1) for _ in range(2)] for _ in range(2)]
+            beta = _skewed(p_nc, rng)
+            got = [str(v) for v in change_basis_check(A, beta, skewed)]
+            assert got == _per_pair_report(A, beta, skewed)
+            assert any(v.startswith("(l,k,j)=(1,1,") for v in got)
+
+    def test_commutator_is_one_bracket(self, p_nc):
+        rng = random.Random(86)
+        rows = [[rand_ratfunc(rng, p_nc.vars, 1) for _ in range(2)] for _ in range(3)]
+        table = ops.first_order_brackets(rows, p_nc)
+        for l in range(3):
+            for k in range(3):
+                assert table[l][k] == first_order_commutator(rows[l], rows[k], p_nc)
 
 
 class TestCommutingCheck:

@@ -1,4 +1,5 @@
-"""Property tests: the table engine agrees with the rewrite oracle."""
+"""Property tests: the table engine agrees with the rewrite oracle, and the
+polynomial kernel keeps its integer-coefficient invariant."""
 
 from fractions import Fraction
 
@@ -7,7 +8,16 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from liediff import MPoly, OpWord, RatFunc, normalize, rewrite_normalize  # noqa: E402
+from liediff import (  # noqa: E402
+    MPoly,
+    OpWord,
+    RatFunc,
+    derive,
+    mpoly_gcd,
+    normalize,
+    ratfunc_normalize,
+    rewrite_normalize,
+)
 
 
 def coefficients(vars):
@@ -52,3 +62,83 @@ def test_table_equals_rewrite_nonconstant_alpha(p_nc, data):
 @given(data=st.data())
 def test_table_equals_rewrite_heisenberg(p_heis, data):
     _agree(p_heis, data)
+
+
+# -- the integer-coefficient kernel -----------------------------------------
+
+
+def polys(vars, fractions=False):
+    """Sparse polynomials of total degree <= 2 with up to 3 terms; with
+    ``fractions``, coefficients p/q with q in 1..3 as well."""
+    exponents = st.tuples(*[st.integers(0, 2)] * len(vars)).filter(lambda e: sum(e) <= 2)
+    ints = st.integers(-4, 4)
+    coeff = st.builds(Fraction, ints, st.integers(1, 3)) if fractions else ints
+    return st.dictionaries(exponents, coeff, max_size=3).map(lambda t: MPoly(vars, t))
+
+
+def ratfuncs(vars):
+    nonzero = polys(vars, fractions=True).filter(lambda f: not f.is_zero())
+    return st.builds(ratfunc_normalize, polys(vars, fractions=True), nonzero)
+
+
+def _int_coefficients(f: RatFunc) -> bool:
+    return all(type(c) is int for c in (*f.num.terms.values(), *f.den.terms.values()))
+
+
+def _invariant_holds(pres, data):
+    f = data.draw(ratfuncs(pres.vars))
+    g = data.draw(ratfuncs(pres.vars))
+    k = data.draw(st.integers(0, 3))
+    results = [f + g, f - g, f * g, f**k]
+    if not g.is_zero():
+        results += [f / g, g**-k]
+    results += [derive(D, f) for D in pres.derivations]
+    for r in [f, g] + results:
+        assert _int_coefficients(r), r
+        if r.is_const():
+            assert type(r.const_value()) is Fraction
+            assert type(r.num.const_value()) is Fraction
+
+
+@PROPERTY
+@given(data=st.data())
+def test_coefficients_stay_int_p1(p1, data):
+    _invariant_holds(p1, data)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_coefficients_stay_int_heisenberg(p_heis, data):
+    _invariant_holds(p_heis, data)
+
+
+@PROPERTY
+@given(a=st.integers(-6, 6), b=st.integers(1, 6))
+def test_const_value_is_fraction(a, b):
+    c = RatFunc.const(("x", "y"), Fraction(a, b))
+    assert type(c.const_value()) is Fraction
+    assert c.const_value() == Fraction(a, b)
+
+
+def _positive_lead(f: MPoly) -> MPoly:
+    return -f if not f.is_zero() and f.leading()[1] < 0 else f
+
+
+def _gcd_scales(vars, data):
+    # integer inputs: contents multiply (Gauss's lemma), so equality is exact
+    # up to the sign convention of a positive leading coefficient
+    f, g = data.draw(polys(vars)), data.draw(polys(vars))
+    h = data.draw(polys(vars).filter(lambda p: not p.is_zero()))
+    assert mpoly_gcd(f * h, g * h) == _positive_lead(h * mpoly_gcd(f, g))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_gcd_of_planted_factor_p1(p1, data):
+    _gcd_scales(p1.vars, data)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_gcd_of_planted_factor_heisenberg(p_heis, data):
+    _gcd_scales(p_heis.vars, data)
