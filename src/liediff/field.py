@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd as _igcd, lcm as _ilcm
 from typing import Iterable, Sequence
 
@@ -323,11 +324,9 @@ def _prem(f: MPoly, g: MPoly, m: int) -> MPoly:
 
 
 def _cont_in(f: MPoly, m: int) -> MPoly:
-    # gcd of the coefficients of the powers of variable m
-    g = MPoly.zero(f.vars)
-    for d in sorted({e[m] for e in f.terms}):
-        g = mpoly_gcd(g, _coeff_in(f, m, d))
-    return g
+    # primitive gcd of the coefficients of the powers of variable m
+    coeffs = (_coeff_in(f, m, d).primitive_part() for d in sorted({e[m] for e in f.terms}))
+    return reduce(_pp_gcd, coeffs)
 
 
 def _m_primitive(f: MPoly, m: int) -> MPoly:
@@ -408,15 +407,15 @@ def _pp_gcd(f: MPoly, g: MPoly) -> MPoly:
     m = max(i for e in list(f.terms) + list(g.terms) for i, p in enumerate(e) if p)
     df, dg = _deg_in(f, m), _deg_in(g, m)
     if df == 0:
-        return _pp_gcd(f, _cont_in(g, m).primitive_part())
+        return _pp_gcd(f, _cont_in(g, m))
     if dg == 0:
-        return _pp_gcd(_cont_in(f, m).primitive_part(), g)
+        return _pp_gcd(_cont_in(f, m), g)
+    cf, cg = _cont_in(f, m), _cont_in(g, m)
+    cont = _pp_gcd(cf, cg)
     bound = _image_degree_bound(f, g, m, df, dg)
     if bound == 0:
         # the gcd is free of the main variable, so it divides both contents
-        return _pp_gcd(_cont_in(f, m).primitive_part(), _cont_in(g, m).primitive_part())
-    cf, cg = _cont_in(f, m), _cont_in(g, m)
-    cont = _pp_gcd(cf.primitive_part(), cg.primitive_part())
+        return cont
     F, G = divexact(f, cf), divexact(g, cg)
     if df < dg:
         F, G = G, F
@@ -443,14 +442,12 @@ def _pp_gcd(f: MPoly, g: MPoly) -> MPoly:
 def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
     """Greatest common divisor in Q[vars], canonicalized so that the result
     carries the gcd of the rational contents: mpoly_gcd(2x, 4) = 2."""
-    if f.is_zero() and g.is_zero():
-        return f
-    if f.is_zero():
-        return g.primitive_part()._scale(abs(g.content()))
-    if g.is_zero():
-        return f.primitive_part()._scale(abs(f.content()))
-    c = _frac_gcd(f.content(), g.content())
-    h = _pp_gcd(f.primitive_part(), g.primitive_part())
+    if f.is_zero() or g.is_zero():
+        h = g if f.is_zero() else f
+        return h if h.is_zero() or h.leading()[1] > 0 else -h
+    cf, cg = f.content(), g.content()
+    c = _frac_gcd(cf, cg)
+    h = _pp_gcd(f if cf == 1 else f._divide(cf), g if cg == 1 else g._divide(cg))
     return h if c == 1 else h._scale(c)
 
 
@@ -515,16 +512,12 @@ class RatFunc:
 
     # -- field operations ------------------------------------------------------
 
-    def _require_same_vars(self, other: "RatFunc") -> None:
-        if self.vars != other.vars:
-            raise UnknownVariable("operands are over different variable tuples")
-
     # Arithmetic keeps results reduced with small cross-cancellations instead
     # of one large gcd on products (inputs are canonical, so the classical
     # identities apply).
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        self._require_same_vars(other)
+        self.num._require_same_vars(other.num)
         if self.is_zero():
             return other
         if other.is_zero():
@@ -551,7 +544,7 @@ class RatFunc:
         return self + (-other)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        self._require_same_vars(other)
+        self.num._require_same_vars(other.num)
         if self.is_zero() or other.is_zero():
             return RatFunc.zero(self.vars)
         g1 = mpoly_gcd(self.num, other.den)
@@ -569,7 +562,7 @@ class RatFunc:
         return RatFunc(num, den)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        self._require_same_vars(other)
+        self.num._require_same_vars(other.num)
         return self * other.reciprocal()
 
     def __pow__(self, k: int) -> "RatFunc":
@@ -639,6 +632,56 @@ def _add_to(acc: dict, key, c: RatFunc) -> None:
         acc.pop(key, None)
     else:
         acc[key] = s
+
+
+class SparseSum:
+    """Finite sum of nonzero field coefficients keyed by monomials, over the
+    field variables ``vars`` and ``n`` derivations: the arithmetic shared by
+    normal operators and normal polynomials.  A subclass validates its keys
+    in ``__init__`` and prints itself."""
+
+    __slots__ = ("vars", "n", "terms")
+
+    @classmethod
+    def zero(cls, vars, n: int):
+        return cls(vars, n, {})
+
+    def _require_compat(self, other) -> None:
+        name = type(self).__name__
+        if type(other) is not type(self):
+            raise ArityMismatch(f"cannot combine {name} with {type(other).__name__}")
+        if self.vars != other.vars or self.n != other.n:
+            raise ArityMismatch(f"{name} operands over different presentations")
+
+    def __add__(self, other):
+        self._require_compat(other)
+        t = dict(self.terms)
+        for key, c in other.terms.items():
+            _add_to(t, key, c)
+        return type(self)(self.vars, self.n, t)
+
+    def __neg__(self):
+        return type(self)(self.vars, self.n, {key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.vars == other.vars
+            and self.n == other.n
+            and self.terms == other.terms
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.vars, self.n, frozenset(self.terms.items())))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
 
 
 def _atomic_denominator(d: MPoly) -> bool:

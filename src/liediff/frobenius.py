@@ -1,26 +1,34 @@
 """Linear independence of derivations, commuting-basis construction, and the
 basis-change condition checks.
 
-Rank computations clear denominators row by row and run fraction-free
-(Bareiss) elimination over the polynomial ring, so every division is exact.
-Inverses and null vectors both come from one Gauss-Jordan routine over the
-field, ``_rref``, which is equally exact here.
+One fraction-free elimination, ``_eliminate``, answers every matrix
+question.  It clears denominators row by row and works over the polynomial
+ring, where each division by the previous pivot is exact (Bareiss).  The
+forward pass clears below the pivots and gives the rank and the pivot
+columns.  The full pass also clears above them; the rows divided by the last
+pivot are then the reduced row echelon form, which gives inverses, null
+vectors and the commuting basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import (
     ArityMismatch,
     CommutationFailure,
     InvariantBroken,
-    NoCoordinateSubset,
     NotIndependent,
     Violation,
 )
-from .field import DerivationAction, MPoly, RatFunc, divexact, mpoly_gcd
+from .field import (
+    DerivationAction,
+    MPoly,
+    RatFunc,
+    divexact,
+    mpoly_gcd,
+    ratfunc_normalize,
+)
 from .lie import Presentation, StructureConstants, bracket_residuals
 from .ops import first_order_brackets
 
@@ -31,101 +39,76 @@ def _poly_lcm(a: MPoly, b: MPoly) -> MPoly:
     return divexact(a * b, mpoly_gcd(a, b))
 
 
-def _cleared_rows(mat: Matrix) -> list[list[MPoly]]:
-    out = []
+def _eliminate(mat: Matrix, full: bool) -> tuple[list[list[MPoly]], list[int], MPoly]:
+    """Fraction-free elimination of a nonempty matrix: (rows, pivot columns,
+    last pivot d).  Row r of the result holds the pivot of the r-th pivot
+    column.  The forward pass (``full`` false) clears below each pivot; the
+    full pass clears above it too, and leaves every pivot entry equal to d."""
+    rows = []
     for row in mat:
+        # the row times the lcm of its denominators
         scale = MPoly.const(row[0].vars, 1)
         for ent in row:
             scale = _poly_lcm(scale, ent.den)
-        out.append([ent.num * divexact(scale, ent.den) for ent in row])
-    return out
-
-
-def _bareiss_rank(rows: list[list[MPoly]]) -> int:
-    rows = [list(r) for r in rows]
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    if not nr or not nc:
-        return 0
+        rows.append([ent.num * divexact(scale, ent.den) for ent in row])
+    nr, nc = len(rows), len(rows[0])
     prev = MPoly.const(rows[0][0].vars, 1)
-    r = 0
+    pivots: list[int] = []
     for c in range(nc):
+        r = len(pivots)
+        if r == nr:
+            break
         piv = next((i for i in range(r, nr) if not rows[i][c].is_zero()), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, nr):
-            for j in range(c + 1, nc):
-                rows[i][j] = divexact(
-                    rows[r][c] * rows[i][j] - rows[i][c] * rows[r][j], prev
-                )
-            rows[i][c] = MPoly.zero(rows[i][c].vars)
-        prev = rows[r][c]
-        r += 1
-        if r == nr:
-            break
-    return r
+        top = rows[r]
+        for i in range(0 if full else r + 1, nr):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [divexact(top[c] * a - f * b, prev) for a, b in zip(rows[i], top)]
+        prev = top[c]
+        pivots.append(c)
+    return rows, pivots, prev
 
 
 def matrix_rank(mat: Matrix) -> int:
     if not mat:
         return 0
-    return _bareiss_rank(_cleared_rows(mat))
+    return len(_eliminate(mat, full=False)[1])
+
+
+def _with_identity(mat: Matrix) -> Matrix:
+    # [mat | I], with one identity column per row of mat
+    vars = mat[0][0].vars
+    zero, one = RatFunc.zero(vars), RatFunc.const(vars, 1)
+    return [
+        list(row) + [one if i == j else zero for j in range(len(mat))]
+        for i, row in enumerate(mat)
+    ]
 
 
 def matrix_invert(mat: Matrix) -> Matrix | None:
-    """Exact inverse over the field, or None if singular: row-reduce
-    [mat | I], which is singular when a column of mat has no pivot."""
+    """Exact inverse over the field, or None if singular: reduce [mat | I],
+    which is singular when a column of mat has no pivot."""
     n = len(mat)
-    vars = mat[0][0].vars
-    zero, one = RatFunc.zero(vars), RatFunc.const(vars, 1)
-    aug = [
-        list(row) + [one if i == j else zero for j in range(n)]
-        for i, row in enumerate(mat)
-    ]
-    rows, pivots = _rref(aug)
+    rows, pivots, d = _eliminate(_with_identity(mat), full=True)
     if any(c not in pivots for c in range(n)):
         return None
-    return [row[n:] for row in rows]
-
-
-def _rref(mat: Matrix) -> tuple[Matrix, dict]:
-    # Gauss-Jordan: the reduced row echelon form and {pivot column: row}
-    rows = [list(r) for r in mat]
-    nr, nc = len(rows), len(rows[0]) if rows else 0
-    vars = rows[0][0].vars
-    one = RatFunc.const(vars, 1)
-    pivots: dict[int, int] = {}
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if not rows[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = one / rows[r][c]
-        rows[r] = [ent * inv for ent in rows[r]]
-        for i in range(nr):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots[c] = r
-        r += 1
-        if r == nr:
-            break
-    return rows, pivots
+    return [[ratfunc_normalize(e, d) for e in row[n:]] for row in rows]
 
 
 def _null_vector(mat: Matrix, ncols: int) -> list[RatFunc] | None:
     """A nonzero x with mat . x = 0, chosen from the first free column."""
     vars = mat[0][0].vars
-    rows, pivots = _rref(mat)
+    rows, pivots, d = _eliminate(mat, full=True)
     free = next((c for c in range(ncols) if c not in pivots), None)
     if free is None:
         return None
     x = [RatFunc.zero(vars) for _ in range(ncols)]
     x[free] = RatFunc.const(vars, 1)
-    for c, r in pivots.items():
-        x[c] = -rows[r][free]
+    for r, c in enumerate(pivots):
+        x[c] = ratfunc_normalize(-rows[r][free], d)
     return x
 
 
@@ -147,25 +130,19 @@ def _evaluation_matrix(p: Presentation) -> Matrix:
     return [list(d.images) for d in p.derivations]
 
 
-def _first_invertible_columns(M: Matrix, n: int, t: int) -> tuple[int, ...] | None:
-    for cols in combinations(range(t), n):
-        sub = [[M[i][c] for c in cols] for i in range(n)]
-        if matrix_rank(sub) == n:
-            return cols
-    return None
-
-
 def linear_independence(p: Presentation) -> IndependenceCertificate:
     """Decide linear independence of the derivations over the field.
 
     A derivation vanishes iff it vanishes on all generators, so independence
-    is the rank of the n x t matrix of generator images.
+    is the rank of the n x t matrix of generator images.  A column is a pivot
+    exactly when it is independent of the columns before it, so the pivot
+    columns form the lexicographically first invertible n x n minor.
     """
     M = _evaluation_matrix(p)
     n, t = p.n, len(p.vars)
-    if matrix_rank(M) == n:
-        cols = _first_invertible_columns(M, n, t)
-        return IndependenceCertificate(True, columns=cols)
+    _, pivots, _ = _eliminate(M, full=False)
+    if len(pivots) == n:
+        return IndependenceCertificate(True, columns=tuple(pivots))
     transpose = [[M[i][j] for i in range(n)] for j in range(t)]
     b = _null_vector(transpose, n)
     if b is None:
@@ -184,27 +161,15 @@ def commuting_basis(p: Presentation) -> tuple[Matrix, tuple]:
             "derivations are linearly dependent; witness "
             + "(" + ", ".join(str(c) for c in cert.combination) + ")"
         )
-    if cert.columns is None:
-        raise NoCoordinateSubset("no invertible coordinate minor exists")
     M = _evaluation_matrix(p)
-    n = p.n
-    W = [[M[i][c] for c in cert.columns] for i in range(n)]
-    A = matrix_invert(W)
-    if A is None:
-        raise NoCoordinateSubset("selected coordinate minor is singular")
-    # images of the new derivations on the generators: A . M
-    images = [
-        [
-            sum(
-                (A[i][j] * M[j][v] for j in range(n)),
-                RatFunc.zero(p.vars),
-            )
-            for v in range(len(p.vars))
-        ]
-        for i in range(n)
-    ]
+    n, t = p.n, len(p.vars)
+    # the reduced form of [M | I] is [A . M | A], with A the inverse of the
+    # minor on the selected columns
+    rows, _, d = _eliminate(_with_identity(M), full=True)
+    reduced = [[ratfunc_normalize(e, d) for e in row] for row in rows]
+    A = [row[t:] for row in reduced]
     actions = tuple(
-        DerivationAction(f"Dbar{i + 1}", p.vars, tuple(images[i])) for i in range(n)
+        DerivationAction(f"Dbar{i + 1}", p.vars, tuple(reduced[i][:t])) for i in range(n)
     )
     rebased = Presentation(p.vars, actions, StructureConstants.zero(n, p.vars))
     violations = [
@@ -241,10 +206,8 @@ def change_basis_check(
             bracket = brackets[l - 1][k - 1]
             for j in range(1, n + 1):
                 res = bracket[j - 1]
-                for m in range(1, n + 1):
-                    c = beta.get(l, k, m)
-                    if not c.is_zero():
-                        res = res - c * A[m - 1][j - 1]
+                for m, c in beta.bracket(l, k):
+                    res = res - c * A[m - 1][j - 1]
                 if not res.is_zero():
                     out.append(Violation(f"(l,k,j)=({l},{k},{j})", res))
     return out

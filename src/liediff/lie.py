@@ -41,6 +41,14 @@ class StructureConstants:
         v = self.entries.get((k, l, m))
         return RatFunc.zero(self.vars) if v is None else v
 
+    def bracket(self, k: int, l: int) -> list[tuple[int, RatFunc]]:
+        """The nonzero (m, alpha[k,l,m]) of [D_k, D_l], ordered by m."""
+        return [
+            (m, self.entries[(k, l, m)])
+            for m in range(1, self.n + 1)
+            if (k, l, m) in self.entries
+        ]
+
     def is_constant(self) -> bool:
         return all(v.is_const() for v in self.entries.values())
 
@@ -116,10 +124,8 @@ def bracket_residuals(p: Presentation):
             dk, dl = p.derivation(k), p.derivation(l)
             for j, v in enumerate(p.vars):
                 r = derive(dk, dl.images[j]) - derive(dl, dk.images[j])
-                for m in range(1, p.n + 1):
-                    c = p.alpha.get(k, l, m)
-                    if not c.is_zero():
-                        r = r - c * p.derivation(m).images[j]
+                for m, c in p.alpha.bracket(k, l):
+                    r = r - c * p.derivation(m).images[j]
                 if not r.is_zero():
                     yield k, l, v, r
 

@@ -25,7 +25,7 @@ from .errors import (
     UnboundSlot,
     UnknownDerivation,
 )
-from .field import RatFunc, _add_to, derive, format_sum
+from .field import RatFunc, SparseSum, _add_to, derive, format_sum
 from .lie import Presentation
 from .ops import NormalOperator, PBWTable, apply_operator
 
@@ -57,10 +57,10 @@ def _mono_degree(m) -> int:
     return sum(e for _, e in m)
 
 
-class NormalPoly:
+class NormalPoly(SparseSum):
     """Polynomial in the X_I (and optional slots) over field coefficients."""
 
-    __slots__ = ("vars", "n", "terms")
+    __slots__ = ()
 
     def __init__(self, vars: Iterable[str], n: int, terms: dict):
         self.vars = tuple(vars)
@@ -76,10 +76,6 @@ class NormalPoly:
         self.terms = clean
 
     # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def zero(cls, vars, n: int) -> "NormalPoly":
-        return cls(vars, n, {})
 
     @classmethod
     def const(cls, vars, n: int, c: RatFunc) -> "NormalPoly":
@@ -106,27 +102,7 @@ class NormalPoly:
     def order(self) -> int:
         return max((sum(g) for g in self.x_support()), default=0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     # -- ring operations -------------------------------------------------------
-
-    def _require_compat(self, other: "NormalPoly") -> None:
-        if self.vars != other.vars or self.n != other.n:
-            raise ArityMismatch("normal polynomials over different presentations")
-
-    def __add__(self, other: "NormalPoly") -> "NormalPoly":
-        self._require_compat(other)
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            _add_to(t, m, c)
-        return NormalPoly(self.vars, self.n, t)
-
-    def __neg__(self) -> "NormalPoly":
-        return NormalPoly(self.vars, self.n, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "NormalPoly") -> "NormalPoly":
-        return self + (-other)
 
     def __mul__(self, other: "NormalPoly") -> "NormalPoly":
         self._require_compat(other)
@@ -149,17 +125,6 @@ class NormalPoly:
 
     # -- comparison / display ----------------------------------------------------
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NormalPoly)
-            and self.vars == other.vars
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.vars, self.n, frozenset(self.terms.items())))
-
     def __str__(self) -> str:
         pairs = []
         order = sorted(
@@ -175,9 +140,6 @@ class NormalPoly:
             )
             pairs.append((self.terms[m], gens))
         return format_sum(pairs)
-
-    def __repr__(self) -> str:
-        return f"NormalPoly({self})"
 
 
 def _linear(p: Presentation, T: dict) -> NormalPoly:

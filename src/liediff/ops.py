@@ -36,6 +36,7 @@ exponential in the length of a word.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Union
 
 from .errors import (
@@ -45,7 +46,7 @@ from .errors import (
     UnknownDerivation,
     UnknownVariable,
 )
-from .field import RatFunc, _add_to, derive, format_sum
+from .field import RatFunc, SparseSum, _add_to, derive, format_sum
 from .lie import Presentation
 
 #: A factor of a composition term: a derivation index (1-based) or a coefficient.
@@ -129,10 +130,10 @@ class OpWord:
         return f"OpWord({self.terms!r})"
 
 
-class NormalOperator:
+class NormalOperator(SparseSum):
     """Finite sum of normal-ordered monomials: multi-index -> coefficient."""
 
-    __slots__ = ("vars", "n", "terms")
+    __slots__ = ()
 
     def __init__(self, vars: Iterable[str], n: int, terms: dict):
         self.vars = tuple(vars)
@@ -145,10 +146,6 @@ class NormalOperator:
             if not c.is_zero():
                 clean[I] = c
         self.terms = clean
-
-    @classmethod
-    def zero(cls, vars, n: int) -> "NormalOperator":
-        return cls(vars, n, {})
 
     @classmethod
     def identity(cls, vars, n: int) -> "NormalOperator":
@@ -168,37 +165,6 @@ class NormalOperator:
             terms[e] = c
         return cls(vars, n, terms)
 
-    def _require_compat(self, other: "NormalOperator") -> None:
-        if self.vars != other.vars or self.n != other.n:
-            raise ArityMismatch("operators over different presentations")
-
-    def __add__(self, other: "NormalOperator") -> "NormalOperator":
-        self._require_compat(other)
-        t = dict(self.terms)
-        for I, c in other.terms.items():
-            _add_to(t, I, c)
-        return NormalOperator(self.vars, self.n, t)
-
-    def __neg__(self) -> "NormalOperator":
-        return NormalOperator(self.vars, self.n, {I: -c for I, c in self.terms.items()})
-
-    def __sub__(self, other: "NormalOperator") -> "NormalOperator":
-        return self + (-other)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NormalOperator)
-            and self.vars == other.vars
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.vars, self.n, frozenset(self.terms.items())))
-
     def __str__(self) -> str:
         pairs = []
         for I in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
@@ -209,9 +175,6 @@ class NormalOperator:
             )
             pairs.append((self.terms[I], mon))
         return format_sum(pairs)
-
-    def __repr__(self) -> str:
-        return f"NormalOperator({self})"
 
 
 def _symbols(I) -> tuple[int, ...]:
@@ -255,10 +218,8 @@ def _rewrite_at(term, i, p: Presentation):
     out = [head + (b, a) + tail]
     if isinstance(b, int):
         # R2: swap out-of-order derivations, emit the bracket correction
-        for m in range(1, p.n + 1):
-            c = p.alpha.get(a, b, m)
-            if not c.is_zero():
-                out.append(head + (c, m) + tail)
+        for m, c in p.alpha.bracket(a, b):
+            out.append(head + (c, m) + tail)
     else:
         # R1: move the coefficient left, emit its derivative
         db = derive(p.derivation(a), b)
@@ -282,7 +243,7 @@ def _collect(term, vars, n) -> tuple[tuple[int, ...], RatFunc]:
     return tuple(I), c
 
 
-def _check_word(w: OpWord, p: Presentation, strategy: str) -> None:
+def _check_word(w: OpWord | NormalOperator, p: Presentation, strategy: str = "leftmost") -> None:
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy '{strategy}'")
     if w.vars != p.vars:
@@ -335,8 +296,7 @@ class PBWTable:
                 todo.pop()
                 continue
             rest = _shift(I, l, -1)
-            brackets = [(m, self.p.alpha.get(k, l, m)) for m in range(1, self.p.n + 1)]
-            brackets = [(m, c) for m, c in brackets if not c.is_zero()]
+            brackets = self.p.alpha.bracket(k, l)
             missing = [d for d in [(k, rest)] + [(m, rest) for m, _ in brackets]
                        if d not in entries]
             if not missing:
@@ -363,6 +323,20 @@ class PBWTable:
                 _add_to(out, I, derive(action, c))
         return out
 
+    def fold(self, factors, part: dict, acc: dict) -> None:
+        """Add to acc the normal form of the composition of factors with the
+        normal-ordered sum part: the factors are read right to left, and each
+        one left-multiplies the running sum."""
+        for f in reversed(factors):
+            if isinstance(f, int):
+                part = self.left_mul(f, part)
+            elif f.is_zero():
+                return
+            elif not f.is_one():
+                part = {I: _times(f, c) for I, c in part.items()}
+        for I, c in part.items():
+            _add_to(acc, I, c)
+
 
 def normalize(w: OpWord, p: Presentation, strategy: str = "leftmost", stats: dict | None = None) -> NormalOperator:
     """Normal-ordered form of a word, by left multiplication through a
@@ -377,17 +351,7 @@ def normalize(w: OpWord, p: Presentation, strategy: str = "leftmost", stats: dic
     zero = (0,) * p.n
     acc: dict[tuple[int, ...], RatFunc] = {}
     for term in w.terms:
-        part = {zero: table.one}
-        for f in reversed(term):
-            if isinstance(f, int):
-                part = table.left_mul(f, part)
-            elif f.is_zero():
-                part = {}
-                break
-            elif not f.is_one():
-                part = {I: _times(f, c) for I, c in part.items()}
-        for I, c in part.items():
-            _add_to(acc, I, c)
+        table.fold(term, {zero: table.one}, acc)
     if stats is not None:
         stats["steps"] = len(table.entries)
     return NormalOperator(w.vars, w.n, acc)
@@ -429,13 +393,15 @@ def op_add(a: NormalOperator, b: NormalOperator) -> NormalOperator:
 
 
 def op_mul(a: NormalOperator, b: NormalOperator, p: Presentation) -> NormalOperator:
-    """Normal form of the composition a after b."""
+    """Normal form of the composition a after b: each term of a is folded
+    onto the terms of b through one PBW table."""
     a._require_compat(b)
-    terms = []
+    _check_word(a, p)
+    table = PBWTable(p)
+    acc: dict[tuple[int, ...], RatFunc] = {}
     for I, c in a.terms.items():
-        for J, d in b.terms.items():
-            terms.append((c,) + _symbols(I) + (d,) + _symbols(J))
-    return normalize(OpWord(a.vars, a.n, terms), p)
+        table.fold((c,) + _symbols(I), b.terms, acc)
+    return NormalOperator(a.vars, a.n, acc)
 
 
 def op_commutator(a: NormalOperator, b: NormalOperator, p: Presentation) -> NormalOperator:
@@ -478,6 +444,20 @@ def first_order_brackets(rows, p: Presentation):
     summed once.  Antisymmetry is not assumed: each ordered pair (l, k) is
     computed from the formula, so alpha need not be antisymmetric.
     """
+    ls = range(len(rows))
+    flat = _brackets(rows, [(l, k) for l in ls for k in ls], p)
+    return [flat[l * len(rows) : (l + 1) * len(rows)] for l in ls]
+
+
+def first_order_commutator(u, v, p: Presentation):
+    """Coefficient vector of the bracket [U, V] of U = sum_i u[i] D_i and
+    V = sum_i v[i] D_i; see ``first_order_brackets``."""
+    return _brackets([u, v], [(0, 1)], p)[0]
+
+
+def _brackets(rows, pairs, p: Presentation) -> list:
+    # the brackets [U_l, U_k] for the (l, k) in pairs, in that order; each
+    # U_l(rows[k][j]) is summed when a pair first needs it
     n = p.n
     if any(len(row) != n for row in rows):
         raise ArityMismatch("coefficient vectors must have one slot per derivation")
@@ -485,35 +465,18 @@ def first_order_brackets(rows, p: Presentation):
     # d[k][j] = (D_1(rows[k][j]), ..., D_n(rows[k][j]))
     d = [[[derive(D, x) for D in p.derivations] for x in row] for row in rows]
 
-    def act(u, dx):
-        # U(x) = sum_i u[i] D_i(x), from the derivatives dx of x
-        return sum((c * e for c, e in zip(u, dx) if not e.is_zero()), zero)
+    @cache
+    def act(l, k, j):
+        # U_l(rows[k][j]) = sum_i rows[l][i] D_i(rows[k][j])
+        return sum((c * e for c, e in zip(rows[l], d[k][j]) if not e.is_zero()), zero)
 
-    # act_lk[l][k][j] = U_l(rows[k][j])
-    act_lk = [[[act(u, dx) for dx in dk] for dk in d] for u in rows]
-    # the nonzero alpha[r,s,j] for each j, 0-based
-    alpha = [[] for _ in range(n)]
-    for r in range(n):
-        for s in range(n):
-            for j in range(n):
-                c = p.alpha.get(r + 1, s + 1, j + 1)
-                if not c.is_zero():
-                    alpha[j].append((r, s, c))
     out = []
-    for l, u in enumerate(rows):
-        out.append([])
-        for k, v in enumerate(rows):
-            bracket = []
-            for j in range(n):
-                w = act_lk[l][k][j] - act_lk[k][l][j]
-                for r, s, c in alpha[j]:
-                    w = w + u[r] * v[s] * c
-                bracket.append(w)
-            out[l].append(bracket)
+    for l, k in pairs:
+        u, v = rows[l], rows[k]
+        w = [act(l, k, j) - act(k, l, j) for j in range(n)]
+        for r in range(n):
+            for s in range(n):
+                for m, c in p.alpha.bracket(r + 1, s + 1):
+                    w[m - 1] = w[m - 1] + u[r] * v[s] * c
+        out.append(w)
     return out
-
-
-def first_order_commutator(u, v, p: Presentation):
-    """Coefficient vector of the bracket [U, V] of U = sum_i u[i] D_i and
-    V = sum_i v[i] D_i; see ``first_order_brackets``."""
-    return first_order_brackets([u, v], p)[0][1]

@@ -132,8 +132,10 @@ class TestArith:
             "w = OpWord(('x',), 1, [(1, RatFunc.variable(('x',), 'x'))])\n"
             "p = Presentation(('x',), (coordinate_delta(('x',), 1),), StructureConstants.zero(1, ('x',)))\n"
             "cases.append((InvariantBroken, lambda: rewrite_normalize(w, p)))\n"
-            "frobenius.matrix_rank = lambda mat: 0\n"
-            "cases.append((InvariantBroken, lambda: linear_independence(p)))\n"
+            "d = coordinate_delta(('x',), 1)\n"
+            "twice = Presentation(('x',), (d, d), StructureConstants.zero(2, ('x',)))\n"
+            "frobenius._null_vector = lambda mat, ncols: None\n"
+            "cases.append((InvariantBroken, lambda: linear_independence(twice)))\n"
             "for i, (err, call) in enumerate(cases):\n"
             "    try:\n"
             "        call()\n"

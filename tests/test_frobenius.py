@@ -1,9 +1,11 @@
 import random
+from itertools import combinations, permutations
 
 import pytest
 
 from liediff import (
     ArityMismatch,
+    MPoly,
     NotIndependent,
     Presentation,
     RatFunc,
@@ -18,6 +20,7 @@ from liediff import (
     matrix_invert,
     matrix_rank,
     parse_field_expr,
+    ratfunc_normalize,
 )
 from liediff import ops
 from conftest import make_presentation, rand_poly, rand_ratfunc
@@ -37,6 +40,61 @@ def p_dependent():
     return make_presentation(("x", "y"), [("1", "0"), ("x", "0")], {})
 
 
+# more variables than derivations (t > n), each with the 0-based columns of
+# its first invertible minor
+WIDE = [
+    # D1 = d/dy, D2 = d/dz: the x column is zero
+    (("x", "y", "z"), [("0", "1", "0"), ("0", "0", "1")], (1, 2)),
+    # the (x, y) minor is singular, the (x, z) minor is not
+    (("x", "y", "z"), [("1", "x", "y"), ("2", "2*x", "z")], (0, 2)),
+    # the x column is y times the z column, and D3 vanishes on x, y and z,
+    # so (x, y, w) is the first invertible minor
+    (
+        ("x", "y", "z", "w"),
+        [("y", "0", "1", "x/(y+1)"), ("x*y", "1", "x", "0"), ("0", "0", "0", "1")],
+        (0, 1, 3),
+    ),
+]
+
+# dependent families with t > n
+WIDE_DEPENDENT = [
+    # D2 = x * D1
+    (("x", "y", "z"), [("1", "y", "0"), ("x", "x*y", "0")]),
+    # D3 = D1 / x + y * D2
+    (("x", "y", "z", "w"), [("1", "0", "y", "0"), ("0", "1", "0", "x"), ("1/x", "y", "y/x", "x*y")]),
+]
+
+
+def _det(M, vars):
+    # Leibniz expansion, independent of any elimination
+    total = RatFunc.zero(vars)
+    for perm in permutations(range(len(M))):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(len(perm)), 2))
+        term = RatFunc.const(vars, (-1) ** inversions)
+        for i, j in enumerate(perm):
+            term = term * M[i][j]
+        total = total + term
+    return total
+
+
+def _one_variable_fraction(rng, vars, deg):
+    # a numerator over 1 or over one variable: with general denominators in
+    # three variables some inverses reach the slow tail of mpoly_gcd (see
+    # perfbench/NOTES.md)
+    den = MPoly.const(vars, 1) if rng.random() < 0.3 else MPoly.variable(vars, rng.choice(vars))
+    return ratfunc_normalize(rand_poly(rng, vars, deg), den)
+
+
+def _first_invertible_minor(pres):
+    # brute force: the first column subset, in combinations order, whose
+    # minor of the generator-image matrix has a nonzero determinant
+    M = [list(d.images) for d in pres.derivations]
+    for cols in combinations(range(len(pres.vars)), pres.n):
+        if not _det([[row[c] for c in cols] for row in M], pres.vars).is_zero():
+            return cols
+    return None
+
+
 class TestMatrixHelpers:
     def test_rank_full(self, p1):
         assert matrix_rank(matrix(p1, [["1", "0"], ["x", "1"]])) == 2
@@ -51,23 +109,22 @@ class TestMatrixHelpers:
         assert matrix_invert(matrix(p1, [["1", "x"], ["y", "x*y"]])) is None
         assert matrix_invert(matrix(p1, [["0", "1"], ["0", "x"]])) is None
 
-    def test_invert_roundtrip(self, p1):
+    def test_invert_roundtrip(self, p1, p_heis):
         rng = random.Random(81)
-        for _ in range(10):
-            A = [[rand_ratfunc(rng, p1.vars, 1) for _ in range(2)] for _ in range(2)]
+        cases = [(p1, 2, rand_ratfunc)] * 10 + [(p_heis, 3, _one_variable_fraction)] * 6
+        for pres, size, entry in cases:
+            A = [[entry(rng, pres.vars, 1) for _ in range(size)] for _ in range(size)]
             inv = matrix_invert(A)
             if inv is None:
-                assert matrix_rank(A) < 2
+                assert matrix_rank(A) < size
+                assert _det(A, pres.vars).is_zero()
                 continue
-            prod = [
-                [
-                    sum((A[i][k] * inv[k][j] for k in range(2)), RatFunc.zero(p1.vars))
-                    for j in range(2)
-                ]
-                for i in range(2)
-            ]
-            assert prod[0][0].is_one() and prod[1][1].is_one()
-            assert prod[0][1].is_zero() and prod[1][0].is_zero()
+            for i in range(size):
+                for j in range(size):
+                    prod = sum(
+                        (A[i][k] * inv[k][j] for k in range(size)), RatFunc.zero(pres.vars)
+                    )
+                    assert prod.is_one() if i == j else prod.is_zero()
 
 
 class TestLinearIndependence:
@@ -75,6 +132,13 @@ class TestLinearIndependence:
         cert = linear_independence(p1)
         assert cert.verdict == "independent"
         assert cert.columns == (0, 1)
+
+    @pytest.mark.parametrize("vars, images, columns", WIDE)
+    def test_columns_are_first_invertible_minor(self, vars, images, columns):
+        pres = make_presentation(vars, images, {})
+        cert = linear_independence(pres)
+        assert cert.independent
+        assert cert.columns == _first_invertible_minor(pres) == columns
 
     def test_dependent_with_witness(self, p_dependent):
         cert = linear_independence(p_dependent)
@@ -89,13 +153,17 @@ class TestLinearIndependence:
 
     def test_witness_verifies_by_substitution(self, p_dependent):
         # certificate soundness: sum b_i D_i kills every generator
-        cert = linear_independence(p_dependent)
-        b = cert.combination
-        for j in range(len(p_dependent.vars)):
-            total = RatFunc.zero(p_dependent.vars)
-            for i in range(p_dependent.n):
-                total = total + b[i] * p_dependent.derivations[i].images[j]
-            assert total.is_zero()
+        wide = [make_presentation(vars, images, {}) for vars, images in WIDE_DEPENDENT]
+        for pres in [p_dependent] + wide:
+            cert = linear_independence(pres)
+            assert _first_invertible_minor(pres) is None
+            b = cert.combination
+            assert not cert.independent and any(not c.is_zero() for c in b)
+            for j in range(len(pres.vars)):
+                total = RatFunc.zero(pres.vars)
+                for i in range(pres.n):
+                    total = total + b[i] * pres.derivations[i].images[j]
+                assert total.is_zero()
 
 
 class TestCommutingBasis:
@@ -268,6 +336,23 @@ class TestFirstOrderBrackets:
             got = [str(v) for v in change_basis_check(A, beta, skewed)]
             assert got == _per_pair_report(A, beta, skewed)
             assert any(v.startswith("(l,k,j)=(1,1,") for v in got)
+
+    def test_commutator_computes_only_its_entry(self, p_heis, monkeypatch):
+        rng = random.Random(87)
+        u, v = [[rand_ratfunc(rng, p_heis.vars, 1) for _ in range(3)] for _ in range(2)]
+        calls = []
+        mul = RatFunc.__mul__
+
+        def counting(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(RatFunc, "__mul__", counting)
+        got = first_order_commutator(u, v, p_heis)
+        one = len(calls)
+        table = ops.first_order_brackets([u, v], p_heis)
+        assert got == table[0][1]
+        assert one < len(calls) - one
 
     def test_commutator_is_one_bracket(self, p_nc):
         rng = random.Random(86)

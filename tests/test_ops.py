@@ -7,9 +7,11 @@ from liediff import (
     ArityMismatch,
     NegativeExponent,
     NormalOperator,
+    NormalPoly,
     OpWord,
     RatFunc,
     UnknownDerivation,
+    UnknownVariable,
     apply_operator,
     first_order_commutator,
     normalize,
@@ -128,6 +130,16 @@ class TestOpAdd:
         s = op_add(mono(p1, (1, 0)), mono(p1, (0, 1)))
         assert len(s.terms) == 2
 
+    def test_normal_poly_operand_rejected(self):
+        # an operator and a normal polynomial share the sum arithmetic but
+        # not their keys; neither order may mix them
+        op = NormalOperator.identity(("x",), 1)
+        q = NormalPoly.xvar(("x",), 1, (1,))
+        for a, b in ((op, q), (q, op)):
+            with pytest.raises(ArityMismatch) as exc:
+                a + b
+            assert "NormalOperator" in str(exc.value) and "NormalPoly" in str(exc.value)
+
 
 class TestOpMul:
     def test_identity(self, p1):
@@ -142,6 +154,14 @@ class TestOpMul:
     def test_composition_reorders(self, p1):
         got = op_mul(mono(p1, (0, 1)), mono(p1, (1, 0)), p1)
         assert got == normalize(parse_operator_expr("D2*D1", p1), p1)
+
+    def test_other_presentation_rejected(self, p1, p_heis):
+        heis_op = NormalOperator.identity(p_heis.vars, p_heis.n)
+        with pytest.raises(UnknownVariable):
+            op_mul(heis_op, heis_op, p1)
+        wide = NormalOperator.monomial(p1.vars, 3, (0, 0, 1), rf("1", p1))
+        with pytest.raises(UnknownDerivation):
+            op_mul(wide, wide, p1)
 
     def test_associative_and_distributive_random(self, p1, p_nc):
         for pres, seed in ((p1, 31), (p_nc, 32)):
