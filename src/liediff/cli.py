@@ -33,7 +33,7 @@ from .lie import (
     validate_jacobi,
 )
 from .normalpoly import axiom1_instance_check, derive_normal, eval_hom, fresh_extension
-from .ops import apply_operator, normalize, op_commutator
+from .ops import apply_operator, op_commutator
 from .parsing import parse_field_expr, parse_normalpoly_expr, parse_operator_expr
 
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
@@ -169,22 +169,21 @@ def cmd_validate(args, pres: Presentation) -> int:
 
 
 def cmd_normalize(args, pres: Presentation) -> int:
-    w = parse_operator_expr(args.expr, pres)
-    print(normalize(w, pres))
+    print(parse_operator_expr(args.expr, pres))
     return 0
 
 
 def cmd_commutator(args, pres: Presentation) -> int:
-    a = normalize(parse_operator_expr(args.left, pres), pres)
-    b = normalize(parse_operator_expr(args.right, pres), pres)
+    a = parse_operator_expr(args.left, pres)
+    b = parse_operator_expr(args.right, pres)
     print(op_commutator(a, b, pres))
     return 0
 
 
 def cmd_apply(args, pres: Presentation) -> int:
-    w = parse_operator_expr(args.operator, pres)
+    a = parse_operator_expr(args.operator, pres)
     f = parse_field_expr(args.value, pres.vars)
-    print(apply_operator(w, f, pres))
+    print(apply_operator(a, f, pres))
     return 0
 
 

@@ -34,8 +34,8 @@ class ArityMismatch(LieDiffError):
 
 
 class NegativeExponent(LieDiffError):
-    """A polynomial, operator word or normal polynomial was raised to a
-    negative power; only field elements have inverses."""
+    """A polynomial or normal polynomial was raised to a negative power;
+    only field elements have inverses."""
 
 
 class NotConstant(LieDiffError):

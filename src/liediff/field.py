@@ -522,6 +522,9 @@ class RatFunc:
             return other
         if other.is_zero():
             return self
+        if self.den._is_one() and other.den._is_one():
+            # polynomials: an integer-coefficient numerator over 1 is canonical
+            return RatFunc(self.num + other.num, self.den)
         d = mpoly_gcd(self.den, other.den)
         if d.is_const():
             num = self.num * other.den + other.num * self.den
@@ -547,6 +550,8 @@ class RatFunc:
         self.num._require_same_vars(other.num)
         if self.is_zero() or other.is_zero():
             return RatFunc.zero(self.vars)
+        if self.den._is_one() and other.den._is_one():
+            return RatFunc(self.num * other.num, self.den)
         g1 = mpoly_gcd(self.num, other.den)
         g2 = mpoly_gcd(other.num, self.den)
         num = divexact(self.num, g1) * divexact(other.num, g2)

@@ -42,7 +42,6 @@ from typing import Iterable, Union
 from .errors import (
     ArityMismatch,
     InvariantBroken,
-    NegativeExponent,
     UnknownDerivation,
     UnknownVariable,
 )
@@ -77,54 +76,6 @@ class OpWord:
         self.vars = tuple(vars)
         self.n = n
         self.terms = tuple(_check_factors(t, self.vars, n) for t in terms)
-
-    @classmethod
-    def zero(cls, vars, n: int) -> "OpWord":
-        return cls(vars, n, [])
-
-    @classmethod
-    def identity(cls, vars, n: int) -> "OpWord":
-        return cls(vars, n, [()])
-
-    @classmethod
-    def coefficient(cls, c: RatFunc, n: int) -> "OpWord":
-        return cls(c.vars, n, [(c,)])
-
-    @classmethod
-    def derivation(cls, vars, n: int, k: int) -> "OpWord":
-        return cls(vars, n, [(k,)])
-
-    def _require_compat(self, other: "OpWord") -> None:
-        if self.vars != other.vars or self.n != other.n:
-            raise ArityMismatch("operator words over different presentations")
-
-    def __add__(self, other: "OpWord") -> "OpWord":
-        self._require_compat(other)
-        return OpWord(self.vars, self.n, self.terms + other.terms)
-
-    def __neg__(self) -> "OpWord":
-        minus_one = RatFunc.const(self.vars, -1)
-        return OpWord(self.vars, self.n, [(minus_one,) + t for t in self.terms])
-
-    def __sub__(self, other: "OpWord") -> "OpWord":
-        return self + (-other)
-
-    def __mul__(self, other: "OpWord") -> "OpWord":
-        self._require_compat(other)
-        return OpWord(
-            self.vars, self.n, [a + b for a in self.terms for b in other.terms]
-        )
-
-    def __pow__(self, k: int) -> "OpWord":
-        if k < 0:
-            raise NegativeExponent(f"operator word raised to the power {k}")
-        out = OpWord.identity(self.vars, self.n)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def has_symbols(self) -> bool:
-        return any(isinstance(f, int) for t in self.terms for f in t)
 
     def __repr__(self) -> str:
         return f"OpWord({self.terms!r})"
@@ -182,6 +133,14 @@ def _symbols(I) -> tuple[int, ...]:
     for k, p in enumerate(I):
         out += (k + 1,) * p
     return out
+
+
+def _words(a: OpWord | NormalOperator):
+    # the terms of either operator form as composition words: an OpWord's as
+    # they are, and each c * D^I of a NormalOperator as (c,) + D^I
+    if isinstance(a, OpWord):
+        return a.terms
+    return [(c,) + _symbols(I) for I, c in a.terms.items()]
 
 
 def _measure(term) -> tuple[int, int, int]:
@@ -323,6 +282,14 @@ class PBWTable:
                 _add_to(out, I, derive(action, c))
         return out
 
+    def mul(self, a: NormalOperator, b: NormalOperator) -> NormalOperator:
+        """Normal form of the composition a after b, for operators over this
+        table's presentation (``op_mul`` checks that)."""
+        acc: dict = {}
+        for term in _words(a):
+            self.fold(term, b.terms, acc)
+        return NormalOperator(a.vars, a.n, acc)
+
     def fold(self, factors, part: dict, acc: dict) -> None:
         """Add to acc the normal form of the composition of factors with the
         normal-ordered sum part: the factors are read right to left, and each
@@ -338,9 +305,10 @@ class PBWTable:
             _add_to(acc, I, c)
 
 
-def normalize(w: OpWord, p: Presentation, strategy: str = "leftmost", stats: dict | None = None) -> NormalOperator:
-    """Normal-ordered form of a word, by left multiplication through a
-    per-call PBW table.
+def normalize(w: OpWord | NormalOperator, p: Presentation, strategy: str = "leftmost", stats: dict | None = None) -> NormalOperator:
+    """Normal-ordered form of a word, or of a normal operator read as the
+    words c * D^I of its terms, by left multiplication through a per-call PBW
+    table.
 
     ``strategy`` is validated for compatibility with ``rewrite_normalize`` but
     selects nothing here.  ``stats``, when given, receives the number of table
@@ -350,15 +318,16 @@ def normalize(w: OpWord, p: Presentation, strategy: str = "leftmost", stats: dic
     table = PBWTable(p)
     zero = (0,) * p.n
     acc: dict[tuple[int, ...], RatFunc] = {}
-    for term in w.terms:
+    for term in _words(w):
         table.fold(term, {zero: table.one}, acc)
     if stats is not None:
         stats["steps"] = len(table.entries)
     return NormalOperator(w.vars, w.n, acc)
 
 
-def rewrite_normalize(w: OpWord, p: Presentation, strategy: str = "leftmost", stats: dict | None = None) -> NormalOperator:
-    """Reference engine: rewrite a word into its normal-ordered form.
+def rewrite_normalize(w: OpWord | NormalOperator, p: Presentation, strategy: str = "leftmost", stats: dict | None = None) -> NormalOperator:
+    """Reference engine: rewrite a word, or the words c * D^I of a normal
+    operator, into its normal-ordered form.
 
     ``strategy`` selects which redex fires first ("leftmost" or "rightmost");
     the result must not depend on it.  ``stats``, when given, receives the
@@ -366,7 +335,7 @@ def rewrite_normalize(w: OpWord, p: Presentation, strategy: str = "leftmost", st
     """
     _check_word(w, p, strategy)
     acc: dict[tuple[int, ...], RatFunc] = {}
-    stack = list(w.terms)
+    stack = list(_words(w))
     steps = 0
     while stack:
         term = stack.pop()
@@ -394,14 +363,13 @@ def op_add(a: NormalOperator, b: NormalOperator) -> NormalOperator:
 
 def op_mul(a: NormalOperator, b: NormalOperator, p: Presentation) -> NormalOperator:
     """Normal form of the composition a after b: each term of a is folded
-    onto the terms of b through one PBW table."""
+    onto the terms of b through one PBW table.  The cost grows with the
+    derivation symbols in a's terms, each of which left-multiplies all of b,
+    so the operand with fewer symbols should stand on the left where the
+    order is free."""
     a._require_compat(b)
     _check_word(a, p)
-    table = PBWTable(p)
-    acc: dict[tuple[int, ...], RatFunc] = {}
-    for I, c in a.terms.items():
-        table.fold((c,) + _symbols(I), b.terms, acc)
-    return NormalOperator(a.vars, a.n, acc)
+    return PBWTable(p).mul(a, b)
 
 
 def op_commutator(a: NormalOperator, b: NormalOperator, p: Presentation) -> NormalOperator:
@@ -414,13 +382,8 @@ def apply_operator(a: NormalOperator | OpWord, f: RatFunc, p: Presentation) -> R
         raise UnknownVariable("argument over a different variable tuple")
     if a.n != p.n:
         raise UnknownDerivation("operator arity differs from the presentation")
-    terms = (
-        a.terms
-        if isinstance(a, OpWord)
-        else [(c,) + _symbols(I) for I, c in a.terms.items()]
-    )
     out = RatFunc.zero(p.vars)
-    for term in terms:
+    for term in _words(a):
         g = f
         for fac in reversed(term):
             if isinstance(fac, int):

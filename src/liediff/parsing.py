@@ -8,12 +8,15 @@ Shared grammar:
     factor := atom ('^' nonneg-integer)?
     atom   := integer | variable | '(' expr ')'
 
-Operator expressions extend the atom with derivation symbols D1, D2, ...;
-'*' is noncommutative composition there and '^' on a derivation repeats it.
-Normal-polynomial expressions add X[i1,...,in] atoms, and treat any
-identifier that is not a declared field variable as a placeholder slot.
-'^' binds tighter than '*' and '/' (so 3/2^2 is 3/4), and division requires a
-coefficient-only divisor in the operator and normal-polynomial grammars.
+Operator expressions extend the atom with derivation symbols D1, D2, ...
+and are evaluated in normal form as they are read: every value is a
+``NormalOperator``, '*' is noncommutative composition through one PBW table
+per expression and '^' repeats it.  Normal-polynomial expressions add
+X[i1,...,in] atoms, and treat any identifier that is not a declared field
+variable as a placeholder slot.  '^' binds tighter than '*' and '/' (so 3/2^2
+is 3/4).  In the operator and normal-polynomial grammars the divisor must be
+a pure coefficient; for an operator that is judged by its normal form, so
+x/(D1*x - x*D1) divides by D1(x).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .errors import ExprSyntaxError, UnknownDerivation, UnknownVariable
 from .field import RatFunc
 from .lie import Presentation
 from .normalpoly import NormalPoly
-from .ops import OpWord, apply_operator
+from .ops import NormalOperator, PBWTable
 
 
 class _Tok(NamedTuple):
@@ -54,7 +57,8 @@ def _tokenize(text: str) -> list[_Tok]:
 
 class _Parser:
     """The shared grammar; each grammar supplies ``const(c)``, which lifts a
-    field element into its values, and ``name(tok)`` for identifier atoms."""
+    field element into its values, and ``name(tok)`` for identifier atoms,
+    and may override ``mul``, ``power`` and ``divide``."""
 
     def __init__(self, text: str, vars: tuple[str, ...], pres: Presentation | None = None):
         self.text = text
@@ -100,7 +104,7 @@ class _Parser:
         while self.peek().kind in ("*", "/"):
             tok = self.take()
             f = self.factor()
-            v = v * f if tok.kind == "*" else self.divide(v, f, tok.pos)
+            v = self.mul(v, f) if tok.kind == "*" else self.divide(v, f, tok.pos)
         return v
 
     def factor(self):
@@ -108,7 +112,7 @@ class _Parser:
         if self.peek().kind == "^":
             self.take()
             k = int(self.take("int").text)
-            a = a**k
+            a = self.power(a, k)
         return a
 
     def atom(self):
@@ -130,6 +134,12 @@ class _Parser:
             )
         return RatFunc.variable(self.vars, tok.text)
 
+    def mul(self, a, b):
+        return a * b
+
+    def power(self, a, k: int):
+        return a**k
+
     def divide(self, v, f, pos):
         return v / f
 
@@ -146,10 +156,16 @@ _DSYM = re.compile(r"^D(\d+)$")
 
 
 class _OperatorParser(_Parser):
-    def const(self, c: RatFunc) -> OpWord:
-        return OpWord.coefficient(c, self.pres.n)
+    def __init__(self, text: str, vars: tuple[str, ...], pres: Presentation):
+        super().__init__(text, vars, pres)
+        # one table for the whole expression, so that its products and the
+        # steps of a power share their entries
+        self.table = PBWTable(pres)
 
-    def name(self, tok: _Tok) -> OpWord:
+    def const(self, c: RatFunc) -> NormalOperator:
+        return NormalOperator.monomial(self.vars, self.pres.n, (0,) * self.pres.n, c)
+
+    def name(self, tok: _Tok) -> NormalOperator:
         m = _DSYM.match(tok.text)
         if not m:
             return self.const(self.variable(tok))
@@ -159,14 +175,26 @@ class _OperatorParser(_Parser):
             raise UnknownDerivation(
                 f"derivation D{k} not in D1..D{n} (offset {tok.pos})"
             )
-        return OpWord.derivation(self.vars, n, k)
+        e = tuple(int(j == k) for j in range(1, n + 1))
+        return NormalOperator.monomial(self.vars, n, e, RatFunc.const(self.vars, 1))
+
+    def mul(self, a, b):
+        return self.table.mul(a, b)
+
+    def power(self, a, k: int):
+        # a^k = a * a^(k-1): the base stays the left operand, whose symbols
+        # set the cost of a product
+        out = NormalOperator.identity(self.vars, self.pres.n)
+        for _ in range(k):
+            out = self.mul(a, out)
+        return out
 
     def divide(self, v, f, pos):
-        if f.has_symbols():
+        zero = (0,) * self.pres.n
+        if any(I != zero for I in f.terms):
             raise ExprSyntaxError("cannot divide by a differential operator", pos)
-        # a word without derivations applied to 1 is its value in the field
-        total = apply_operator(f, RatFunc.const(self.vars, 1), self.pres)
-        return v * self.const(total.reciprocal())
+        c = f.terms.get(zero, RatFunc.zero(self.vars))
+        return self.mul(v, self.const(c.reciprocal()))
 
 
 class _NormalPolyParser(_Parser):
@@ -198,8 +226,8 @@ def parse_field_expr(text: str, vars) -> RatFunc:
     return _FieldParser(text, tuple(vars)).parse()
 
 
-def parse_operator_expr(text: str, pres: Presentation) -> OpWord:
-    """Parse an operator expression, preserving composition order."""
+def parse_operator_expr(text: str, pres: Presentation) -> NormalOperator:
+    """Parse an operator expression into its normal-ordered form."""
     return _OperatorParser(text, pres.vars, pres).parse()
 
 

@@ -112,6 +112,15 @@ def rand_word(rng, pres, maxlen: int = 4, coeff_deg: int = 2, max_terms: int = 2
     return OpWord(pres.vars, pres.n, terms)
 
 
+def word(pres, *terms) -> OpWord:
+    """The unnormalized word with these terms; a string factor is a field
+    expression."""
+    return OpWord(pres.vars, pres.n, [
+        tuple(parse_field_expr(f, pres.vars) if isinstance(f, str) else f for f in t)
+        for t in terms
+    ])
+
+
 def rand_npoly(rng, pres, max_order: int = 2, nterms: int = 3, coeff_deg: int = 2) -> NormalPoly:
     idxs = indices_up_to(pres.n, max_order)
     out = NormalPoly.zero(pres.vars, pres.n)

@@ -177,6 +177,21 @@ def test_c09_axiom2_witness(p1):
 def test_c10_cli_determinism(capsys):
     cases = [
         (["normalize", "-p", str(DATA / "p1.json"), "D2*D1"], 0, "normalize_p1.txt"),
+        (
+            ["normalize", "-p", str(DATA / "p1.json"), "(D1+D2)^3-x*D2*D1/y"],
+            0,
+            "normalize_p1_power.txt",
+        ),
+        (
+            ["commutator", "-p", str(DATA / "p1.json"), "x*D1+D2", "D2*D1"],
+            0,
+            "commutator_p1.txt",
+        ),
+        (
+            ["apply", "-p", str(DATA / "p_nc.json"), "D2*x*D1+D1^2", "x^2*y"],
+            0,
+            "apply_p_nc.txt",
+        ),
         (["frobenius", "-p", str(DATA / "p1.json")], 0, "frobenius_p1.txt"),
         (
             [

@@ -103,6 +103,12 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("expr", ["x/(D1 - D1)", "x/D1"])
+    def test_input_error_bad_divisor(self, capsys, expr):
+        code = main(["normalize", "-p", str(DATA / "p1.json"), expr])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_input_error_unknown_variable(self, capsys):
         code = main(["apply", "-p", str(DATA / "p1.json"), "D1", "z^2"])
         capsys.readouterr()

@@ -5,7 +5,6 @@ import pytest
 
 from liediff import (
     ArityMismatch,
-    NegativeExponent,
     NormalOperator,
     NormalPoly,
     OpWord,
@@ -22,7 +21,7 @@ from liediff import (
     parse_operator_expr,
     rewrite_normalize,
 )
-from conftest import rand_poly, rand_word
+from conftest import rand_poly, rand_word, word
 
 
 def rf(text, pres):
@@ -35,14 +34,14 @@ def mono(pres, I, coeff="1"):
 
 class TestNormalize:
     def test_commuting_swap(self, p_abelian):
-        w = parse_operator_expr("D2*D1", p_abelian)
+        w = word(p_abelian, (2, 1))
         got = normalize(w, p_abelian)
         assert got == mono(p_abelian, (1, 1))
 
     def test_bracket_correction_with_apply_oracle(self, p1):
         # oracle first: both the raw word and the claimed normal form send
         # x^2*y to 2*x*y + 2*x
-        w = parse_operator_expr("D2*D1", p1)
+        w = word(p1, (2, 1))
         f = rf("x^2*y", p1)
         expected_value = rf("2*x*y + 2*x", p1)
         assert apply_operator(w, f, p1) == expected_value
@@ -52,12 +51,12 @@ class TestNormalize:
 
     def test_coefficient_pullout_with_random_oracle(self, p1):
         # D1 . x acts as f -> x*D1(f) + f
-        w = parse_operator_expr("D1*x", p1)
+        w = word(p1, (1, "x"))
         rng = random.Random(21)
         x = rf("x", p1)
         for _ in range(10):
             f = RatFunc.from_poly(rand_poly(rng, p1.vars, 3))
-            d1f = apply_operator(parse_operator_expr("D1", p1), f, p1)
+            d1f = apply_operator(mono(p1, (1, 0)), f, p1)
             assert apply_operator(w, f, p1) == x * d1f + f
         assert normalize(w, p1) == mono(p1, (1, 0), "x") + mono(p1, (0, 0))
 
@@ -77,12 +76,13 @@ class TestNormalize:
 
     def test_rewrite_oracle_counts_steps(self, p1):
         stats = {}
-        got = rewrite_normalize(parse_operator_expr("(D2*D1)^3", p1), p1, stats=stats)
-        assert got == normalize(parse_operator_expr("(D2*D1)^3", p1), p1)
+        w = word(p1, (2, 1) * 3)
+        got = rewrite_normalize(w, p1, stats=stats)
+        assert got == normalize(w, p1)
         assert stats["steps"] == 71
 
     def test_unknown_strategy(self, p1):
-        w = parse_operator_expr("D2*D1", p1)
+        w = word(p1, (2, 1))
         for engine in (normalize, rewrite_normalize):
             with pytest.raises(ValueError):
                 engine(w, p1, strategy="middle")
@@ -92,11 +92,11 @@ class TestLongWords:
     # both words hang the rewrite engine, whose cost grows exponentially
 
     def test_one_derivation_past_a_long_power(self, p1):
-        got = normalize(parse_operator_expr("D2*D1^1500", p1), p1)
+        got = normalize(word(p1, (2,) + (1,) * 1500), p1)
         assert got == mono(p1, (1500, 1)) + mono(p1, (1500, 0), "-1500")
 
     def test_scaling_word_is_sound_and_fast(self, p1):
-        w = parse_operator_expr("(D2*D1)^10", p1)
+        w = word(p1, (2, 1) * 10)
         rng = random.Random(106)
         polys = [RatFunc.from_poly(rand_poly(rng, p1.vars, 3)) for _ in range(20)]
         start = time.perf_counter()
@@ -106,15 +106,53 @@ class TestLongWords:
         assert time.perf_counter() - start < 1.0
 
 
-class TestOpWordPow:
-    def test_power_repeats_composition(self, p1):
-        d = parse_operator_expr("D2*D1", p1)
-        assert (d**3).terms == (d * d * d).terms
-        assert (d**0).terms == ((),)
 
-    def test_negative_power_rejected(self, p1):
-        with pytest.raises(NegativeExponent):
-            parse_operator_expr("D2*D1", p1) ** -1
+class TestNormalOperatorOperand:
+    # both engines read a normal operator's terms c*D^I as words, which are
+    # already normal-ordered
+
+    def test_engines_return_it_unchanged(self, p1, p_nc, p_heis):
+        for pres, seed in ((p1, 111), (p_nc, 112), (p_heis, 113)):
+            rng = random.Random(seed)
+            ops = [NormalOperator.identity(pres.vars, pres.n)]
+            ops += [normalize(rand_word(rng, pres), pres) for _ in range(8)]
+            ops.append(parse_operator_expr("x*D2^2", pres))
+            ops.append(parse_operator_expr("(1/2 - y)/x*D1^2*D2 - 3*D1 + 7", pres))
+            for op in ops:
+                for engine in (normalize, rewrite_normalize):
+                    assert engine(op, pres) == op
+
+    def test_scaled_power(self, p1):
+        op = parse_operator_expr("x*D2^2", p1)
+        assert op == mono(p1, (0, 2), "x")
+        assert rewrite_normalize(op, p1) == op
+
+
+class TestExpressionPowers:
+    def test_sum_power_matches_iterated_application(self, p1):
+        # (D1+D2)^30 expanded as words would have 2^30 terms
+        start = time.perf_counter()
+        got = parse_operator_expr("(D1+D2)^30", p1)
+        base = mono(p1, (1, 0)) + mono(p1, (0, 1))
+        for f in (rf("x^2*y + y", p1), rf("x^3 - 2*x*y^2", p1)):
+            want = f
+            for _ in range(30):
+                want = apply_operator(base, want, p1)
+            assert apply_operator(got, f, p1) == want
+        assert time.perf_counter() - start < 10.0
+
+    # the scaling series of the benchmark's reorder workload
+    SERIES = (
+        [("p1", f"(D2*D1)^{k}", (2, 1) * k) for k in range(1, 6)]
+        + [("p1", f"(x*D2*D1)^{k}", ("x", 2, 1) * k) for k in range(1, 4)]
+        + [("p1", f"D1^{k}*x^{k}", (1,) * k + ("x",) * k) for k in range(1, 5)]
+        + [("p_nc", f"(D2*D1)^{k}", (2, 1) * k) for k in range(1, 4)]
+    )
+
+    @pytest.mark.parametrize("name, text, term", SERIES)
+    def test_series_equals_rewrite_of_word(self, request, name, text, term):
+        pres = request.getfixturevalue(name)
+        assert parse_operator_expr(text, pres) == rewrite_normalize(word(pres, term), pres)
 
 
 class TestOpAdd:
@@ -153,7 +191,7 @@ class TestOpMul:
 
     def test_composition_reorders(self, p1):
         got = op_mul(mono(p1, (0, 1)), mono(p1, (1, 0)), p1)
-        assert got == normalize(parse_operator_expr("D2*D1", p1), p1)
+        assert got == normalize(word(p1, (2, 1)), p1)
 
     def test_other_presentation_rejected(self, p1, p_heis):
         heis_op = NormalOperator.identity(p_heis.vars, p_heis.n)
@@ -216,7 +254,7 @@ class TestPrinting:
         ],
     )
     def test_exact_text(self, p1, text, printed):
-        assert str(normalize(parse_operator_expr(text, p1), p1)) == printed
+        assert str(parse_operator_expr(text, p1)) == printed
 
 
 class TestCommutator:

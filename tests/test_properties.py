@@ -1,5 +1,6 @@
-"""Property tests: the table engine agrees with the rewrite oracle, and the
-polynomial kernel keeps its integer-coefficient invariant."""
+"""Property tests: the table engine agrees with the rewrite oracle, the
+parser's evaluation in normal form agrees with normalizing the expanded
+words, and the polynomial kernel keeps its integer-coefficient invariant."""
 
 from fractions import Fraction
 
@@ -15,6 +16,8 @@ from liediff import (  # noqa: E402
     derive,
     mpoly_gcd,
     normalize,
+    parse_field_expr,
+    parse_operator_expr,
     ratfunc_normalize,
     rewrite_normalize,
 )
@@ -62,6 +65,74 @@ def test_table_equals_rewrite_nonconstant_alpha(p_nc, data):
 @given(data=st.data())
 def test_table_equals_rewrite_heisenberg(p_heis, data):
     _agree(p_heis, data)
+
+
+def expressions(pres):
+    """Operator expressions as pairs (text, words): the text for the parser,
+    and the same expression expanded into raw composition words.  At most 64
+    words are expanded, so that the oracle stays cheap."""
+    vars = pres.vars
+
+    def coeff(text):
+        return parse_field_expr(text, vars)
+
+    minus = coeff("-1")
+    leaves = st.one_of(
+        st.integers(0, 3).map(str),
+        st.sampled_from(vars),
+    ).map(lambda t: (t, [(coeff(t),)]))
+    leaves |= st.integers(1, pres.n).map(lambda k: (f"D{k}", [(k,)]))
+    divisors = st.one_of(st.integers(1, 3).map(str), st.sampled_from(vars))
+
+    def product(a, b):
+        return [s + t for s in a for t in b]
+
+    def power(ek):
+        (text, ws), k = ek
+        out = [()]
+        for _ in range(k):
+            out = product(out, ws)
+        return f"({text})^{k}", out
+
+    def extend(sub):
+        pairs = st.tuples(sub, sub)
+        return st.one_of(
+            pairs.map(lambda ab: (f"({ab[0][0]} + {ab[1][0]})", ab[0][1] + ab[1][1])),
+            pairs.map(lambda ab: (f"({ab[0][0]} - {ab[1][0]})",
+                                  ab[0][1] + [(minus,) + t for t in ab[1][1]])),
+            pairs.filter(lambda ab: len(ab[0][1]) * len(ab[1][1]) <= 64).map(
+                lambda ab: (f"{ab[0][0]}*{ab[1][0]}", product(ab[0][1], ab[1][1]))),
+            st.tuples(sub, st.integers(0, 4)).filter(
+                lambda ek: len(ek[0][1]) ** ek[1] <= 64).map(power),
+            st.tuples(sub, divisors).map(
+                lambda ed: (f"{ed[0][0]}/{ed[1]}",
+                            [t + (coeff(ed[1]).reciprocal(),) for t in ed[0][1]])),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+def _parse_agrees(pres, data):
+    text, ws = data.draw(expressions(pres))
+    assert parse_operator_expr(text, pres) == normalize(OpWord(pres.vars, pres.n, ws), pres)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_parse_equals_normalized_words_p1(p1, data):
+    _parse_agrees(p1, data)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_parse_equals_normalized_words_nonconstant_alpha(p_nc, data):
+    _parse_agrees(p_nc, data)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_parse_equals_normalized_words_heisenberg(p_heis, data):
+    _parse_agrees(p_heis, data)
 
 
 # -- the integer-coefficient kernel -----------------------------------------
