@@ -51,13 +51,15 @@ def _read_json(path: str):
 
 
 def _alpha_from_entries(n: int, vars, items) -> StructureConstants:
+    if not isinstance(items, list):
+        raise SchemaError("'alpha' must be a list of structure-constant entries")
     given: dict[tuple[int, int, int], RatFunc] = {}
     for ent in items:
         if not isinstance(ent, dict) or not {"k", "l", "m", "value"} <= set(ent):
             raise SchemaError(f"bad structure-constant entry {ent!r}")
         k, l, m = ent["k"], ent["l"], ent["m"]
         for idx in (k, l, m):
-            if not isinstance(idx, int) or not 1 <= idx <= n:
+            if type(idx) is not int or not 1 <= idx <= n:
                 raise SchemaError(f"structure-constant index {idx} not in 1..{n}")
         if (k, l, m) in given:
             raise SchemaError(f"duplicate structure-constant entry ({k},{l},{m})")
@@ -256,7 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--no-validate",
             action="store_true",
-            help="skip presentation validation on load",
+            help="skip presentation validation on load; a presentation that "
+            "breaks the bracket law has no unique normal form, so results then "
+            "depend on evaluation order",
         )
 
     sp = sub.add_parser("validate", help="validate a presentation")

@@ -337,18 +337,14 @@ _EVAL_POINTS = (2, 3, 5, 7, 11, 13, -2, -3, -5, 17)
 _GCD_PRIME = 2147483647
 
 
-def _univariate_image(f: MPoly, m: int, point) -> dict | None:
+def _univariate_image(f: MPoly, m: int, point) -> dict:
     # substitute integers for every variable except m, working mod a prime;
-    # None when a coefficient denominator is not invertible
+    # f is primitive, so its coefficients are ints: _pp_gcd only sees
+    # primitive parts, and a primitive divided by a primitive is integral
     p = _GCD_PRIME
     out: dict[int, int] = {}
     for e, c in f.terms.items():
-        if type(c) is int:
-            v = c % p
-        elif c.denominator % p == 0:
-            return None
-        else:
-            v = c.numerator * pow(c.denominator, -1, p) % p
+        v = c % p
         for j, q in enumerate(e):
             if j != m and q:
                 v = v * pow(point[j] % p, q, p) % p
@@ -457,7 +453,8 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: MPoly, den: MPoly):
-        # assumes canonical input; use ratfunc_normalize to build safely
+        # assumes canonical input; build safely with ratfunc_normalize, or
+        # with from_poly for a polynomial
         self.num = num
         self.den = den
 
@@ -474,8 +471,7 @@ class RatFunc:
 
     @classmethod
     def const(cls, vars: Iterable[str], c) -> "RatFunc":
-        vars = tuple(vars)
-        return ratfunc_normalize(MPoly.const(vars, c), MPoly.const(vars, 1))
+        return cls.from_poly(MPoly.const(vars, c))
 
     @classmethod
     def variable(cls, vars: Iterable[str], name: str) -> "RatFunc":
@@ -484,7 +480,9 @@ class RatFunc:
 
     @classmethod
     def from_poly(cls, p: MPoly) -> "RatFunc":
-        return ratfunc_normalize(p, MPoly.const(p.vars, 1))
+        # a polynomial over 1 has no common factor to cancel: only the
+        # contents (a Fraction coefficient included) need fixing
+        return _canonical_scale(p, MPoly.const(p.vars, 1))
 
     # -- predicates ----------------------------------------------------------
 

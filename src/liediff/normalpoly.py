@@ -27,7 +27,7 @@ from .errors import (
 )
 from .field import RatFunc, SparseSum, _add_to, derive, format_sum
 from .lie import Presentation
-from .ops import NormalOperator, PBWTable, apply_operator
+from .ops import NormalOperator, PBWTable, _times, apply_operator
 
 # A generator is a multi-index (tuple of ints) for X_I or a string for a slot.
 
@@ -170,18 +170,17 @@ def _derive_with(i: int, q: NormalPoly, p: Presentation, on_x) -> NormalPoly:
     if not 1 <= i <= p.n:
         raise UnknownDerivation(f"derivation index {i} not in 1..{p.n}")
     action = p.derivation(i)
-    out = NormalPoly.zero(q.vars, q.n)
+    t: dict = {}
     for m, c in q.terms.items():
-        dc = derive(action, c)
-        if not dc.is_zero():
-            out = out + NormalPoly(q.vars, q.n, {m: dc})
+        _add_to(t, m, derive(action, c))
         for idx, (g, e) in enumerate(m):
             if isinstance(g, str):
                 raise UnboundSlot(f"cannot differentiate placeholder slot '{g}'")
-            rest = m[:idx] + ((g, e - 1),) + m[idx + 1 :]
-            factor = NormalPoly(q.vars, q.n, {rest: c * RatFunc.const(q.vars, e)})
-            out = out + factor * on_x(g)
-    return out
+            rest = m[:idx] + (((g, e - 1),) if e > 1 else ()) + m[idx + 1 :]
+            ce = _times(c, RatFunc.const(q.vars, e))
+            for m2, c2 in on_x(g).terms.items():
+                _add_to(t, _mono_mul(rest, m2), _times(ce, c2))
+    return NormalPoly(q.vars, q.n, t)
 
 
 def eval_hom(q: NormalPoly, b: RatFunc, p: Presentation) -> RatFunc:
@@ -211,7 +210,7 @@ def eval_hom(q: NormalPoly, b: RatFunc, p: Presentation) -> RatFunc:
 
 def substitute_slots(q: NormalPoly, values: dict) -> NormalPoly:
     """Replace slot generators by field elements; X variables are untouched."""
-    out = NormalPoly.zero(q.vars, q.n)
+    t: dict = {}
     for m, c in q.terms.items():
         kept = []
         v = c
@@ -222,8 +221,8 @@ def substitute_slots(q: NormalPoly, values: dict) -> NormalPoly:
                 v = v * values[g] ** e
             else:
                 kept.append((g, e))
-        out = out + NormalPoly(q.vars, q.n, {tuple(kept): v})
-    return out
+        _add_to(t, tuple(kept), v)
+    return NormalPoly(q.vars, q.n, t)
 
 
 def axiom1_instance_check(

@@ -282,9 +282,10 @@ class PBWTable:
                 _add_to(out, I, derive(action, c))
         return out
 
-    def mul(self, a: NormalOperator, b: NormalOperator) -> NormalOperator:
+    def mul(self, a: OpWord | NormalOperator, b: NormalOperator) -> NormalOperator:
         """Normal form of the composition a after b, for operators over this
-        table's presentation (``op_mul`` checks that)."""
+        table's presentation (``op_mul`` checks that).  a is read through
+        ``_words``, so it may also be an unnormalized ``OpWord``."""
         acc: dict = {}
         for term in _words(a):
             self.fold(term, b.terms, acc)
@@ -316,13 +317,10 @@ def normalize(w: OpWord | NormalOperator, p: Presentation, strategy: str = "left
     """
     _check_word(w, p, strategy)
     table = PBWTable(p)
-    zero = (0,) * p.n
-    acc: dict[tuple[int, ...], RatFunc] = {}
-    for term in _words(w):
-        table.fold(term, {zero: table.one}, acc)
+    out = table.mul(w, NormalOperator.identity(p.vars, p.n))
     if stats is not None:
         stats["steps"] = len(table.entries)
-    return NormalOperator(w.vars, w.n, acc)
+    return out
 
 
 def rewrite_normalize(w: OpWord | NormalOperator, p: Presentation, strategy: str = "leftmost", stats: dict | None = None) -> NormalOperator:
@@ -389,7 +387,7 @@ def apply_operator(a: NormalOperator | OpWord, f: RatFunc, p: Presentation) -> R
             if isinstance(fac, int):
                 g = derive(p.derivation(fac), g)
             else:
-                g = fac * g
+                g = _times(fac, g)
         out = out + g
     return out
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import liediff.field
 from liediff import (
     DerivationAction,
     MPoly,
@@ -136,3 +137,18 @@ def rand_npoly(rng, pres, max_order: int = 2, nterms: int = 3, coeff_deg: int = 
 
 def field_zero(pres) -> RatFunc:
     return RatFunc.zero(pres.vars)
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """A list that grows by one entry per ``mpoly_gcd`` call the field
+    arithmetic makes while the test runs."""
+    calls = []
+    real = liediff.field.mpoly_gcd
+
+    def counting(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(liediff.field, "mpoly_gcd", counting)
+    return calls

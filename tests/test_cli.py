@@ -119,6 +119,30 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "alpha", [5, None, [{"k": True, "l": 2, "m": 1, "value": "1"}]]
+    )
+    def test_malformed_alpha_is_input_error(self, capsys, tmp_path, alpha):
+        obj = json.loads((DATA / "p1.json").read_text())
+        obj["alpha"] = alpha
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code = main(["validate", "-p", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_malformed_beta_is_input_error(self, capsys, tmp_path):
+        beta = tmp_path / "beta.json"
+        beta.write_text(json.dumps({"n": 2, "alpha": 7}))
+        code = main(
+            ["check-basis", "-p", str(DATA / "p1.json"), "-A", str(DATA / "identity.json"),
+             "--beta", str(beta)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_no_validate_override(self, capsys):
         code, out = run(
             capsys, "normalize", "-p", DATA / "p1_noalpha.json", "--no-validate", "D2*D1"

@@ -200,6 +200,16 @@ class TestDerive:
         assert lhs == rhs
         assert derive(D, f) == rf("(x*y - x)/y^2")
 
+    def test_polynomial_lifts_need_no_gcd(self, p1, gcd_calls):
+        # a polynomial over 1 is reduced already: lifting it, and every
+        # partial derivative under polynomial images, cancels nothing
+        f = RatFunc.from_poly(MPoly(VARS, {(3, 1): 1, (1, 2): 2, (0, 0): -7}))
+        c = RatFunc.const(VARS, Fraction(-3, 2))
+        d = derive(p1.derivation(2), f)
+        assert gcd_calls == []
+        assert d == rf("3*x^3*y + x^3 + 2*x*y^2 + 4*x*y")
+        assert (c.num, c.den) == (MPoly.const(VARS, -3), MPoly.const(VARS, 2))
+
     def test_constants_annihilated(self):
         D = DerivationAction("D", VARS, (rf("x"), rf("1")))
         assert derive(D, rf("7/3")).is_zero()

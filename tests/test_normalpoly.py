@@ -56,6 +56,27 @@ class TestDeriveNormal:
                     rhs = derive_normal(i, q, pres) * r + q * derive_normal(i, r, pres)
                     assert lhs == rhs
 
+    @pytest.mark.parametrize(
+        "pres, i, printed",
+        [
+            ("p1", 1, "X[1,0]^2*X[1,1] + 3*y*X[0,1]^2*X[1,1] + 2*X[0,1]*X[1,0]*X[2,0]"),
+            ("p1", 2, "X[1,0]^2*X[0,2] + X[0,1]^3 + 3*y*X[0,1]^2*X[0,2]"
+                      " - 2*X[0,1]*X[1,0]^2 + 2*X[0,1]*X[1,0]*X[1,1]"),
+            ("p_nc", 1, "X[1,0]^2*X[1,1] + 3*y*X[0,1]^2*X[1,1] + 2*X[0,1]*X[1,0]*X[2,0]"),
+            ("p_nc", 2, "X[1,0]^2*X[0,2] + x*X[0,1]^3 + 3*y*X[0,1]^2*X[0,2]"
+                        " - 2/x*X[0,1]^2*X[1,0] + 2*X[0,1]*X[1,0]*X[1,1]"),
+        ],
+    )
+    def test_powers_and_field_coefficient(self, request, pres, i, printed):
+        # Leibniz over squared and cubed variables, with a coefficient whose
+        # derivative adds one more term
+        pres = request.getfixturevalue(pres)
+        q = np_("X[1,0]^2*X[0,1] + y*X[0,1]^3", pres)
+        got = derive_normal(i, q, pres)
+        assert str(got) == printed
+        b = rf("x^2*y/(x + 1)", pres)
+        assert eval_hom(got, b, pres) == derive(pres.derivation(i), eval_hom(q, b, pres))
+
     def test_slot_cannot_be_differentiated(self, p1):
         with pytest.raises(UnboundSlot):
             derive_normal(1, np_("a1*X[0,0]", p1), p1)
@@ -140,6 +161,11 @@ class TestAxiom1:
         q = np_("a1*X[1,0]", p1)
         got = substitute_slots(q, {"a1": rf("y", p1)})
         assert got == np_("y*X[1,0]", p1)
+
+    def test_substitute_slots_merges_and_cancels(self, p1):
+        q = np_("a1*X[1,0] - a2*X[1,0]", p1)
+        y = rf("y", p1)
+        assert substitute_slots(q, {"a1": y, "a2": y}).is_zero()
 
 
 class TestFreshExtension:

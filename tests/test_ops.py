@@ -224,6 +224,12 @@ class TestApply:
         op = mono(p1, (1, 1)) + mono(p1, (1, 0), "-1")
         assert apply_operator(op, rf("x^2*y", p1), p1) == rf("2*x*y + 2*x", p1)
 
+    def test_unit_coefficient_costs_no_gcd(self, p1, gcd_calls):
+        f = rf("(x^2 + y)/(x - y + 1)", p1)
+        gcd_calls.clear()
+        assert apply_operator(NormalOperator.identity(p1.vars, p1.n), f, p1) == f
+        assert gcd_calls == []
+
     def test_zero_operator(self, p1):
         got = apply_operator(NormalOperator.zero(p1.vars, p1.n), rf("x^2", p1), p1)
         assert got.is_zero()

@@ -191,6 +191,22 @@ def test_const_value_is_fraction(a, b):
     assert c.const_value() == Fraction(a, b)
 
 
+@PROPERTY
+@given(data=st.data())
+def test_polynomial_lift_equals_normalize(data):
+    # from_poly and const skip the gcd of ratfunc_normalize, the reference
+    vars = data.draw(st.sampled_from([(), ("x",), ("x", "y")]))
+    one = MPoly.const(vars, 1)
+    p = data.draw(polys(vars, fractions=True))
+    ints = st.integers(-6, 6)
+    c = data.draw(st.one_of(ints, st.builds(Fraction, ints, st.integers(1, 6))))
+    for got, want in [
+        (RatFunc.from_poly(p), ratfunc_normalize(p, one)),
+        (RatFunc.const(vars, c), ratfunc_normalize(MPoly.const(vars, c), one)),
+    ]:
+        assert got == want and _int_coefficients(got)
+
+
 def _positive_lead(f: MPoly) -> MPoly:
     return -f if not f.is_zero() and f.leading()[1] < 0 else f
 
