@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd as _igcd, lcm as _ilcm
+from math import gcd as _igcd, isqrt as _isqrt, lcm as _ilcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -287,10 +287,14 @@ def divexact(f: MPoly, g: MPoly) -> MPoly:
     return MPoly(f.vars, q)
 
 
-# Multivariate gcd by content-and-primitive-part recursion: view polynomials
-# as univariate in the highest occurring variable over the ring generated by
-# the rest, pull out contents, and run a primitive pseudo-remainder sequence.
-# Exactness is the point here; these run at small scale.
+# Multivariate gcd of primitive integer polynomials, two ways.  The heuristic
+# gcd GCDHEU (Char, Geddes and Gonnet, JSC 1989) runs first: it evaluates the
+# highest occurring variable at a large integer xi, recurses down to one
+# integer gcd, and rebuilds each level by symmetric xi-adic expansion; a
+# candidate that divides both inputs is the gcd.  When a few xi all fail it
+# falls back to the reference: view polynomials as univariate in the highest
+# occurring variable over the ring generated by the rest, pull out contents,
+# and run a primitive pseudo-remainder sequence (PRS).
 
 
 def _deg_in(f: MPoly, m: int) -> int:
@@ -326,7 +330,7 @@ def _prem(f: MPoly, g: MPoly, m: int) -> MPoly:
 def _cont_in(f: MPoly, m: int) -> MPoly:
     # primitive gcd of the coefficients of the powers of variable m
     coeffs = (_coeff_in(f, m, d).primitive_part() for d in sorted({e[m] for e in f.terms}))
-    return reduce(_pp_gcd, coeffs)
+    return reduce(_pp_gcd_prs, coeffs)
 
 
 def _m_primitive(f: MPoly, m: int) -> MPoly:
@@ -339,7 +343,7 @@ _GCD_PRIME = 2147483647
 
 def _univariate_image(f: MPoly, m: int, point) -> dict:
     # substitute integers for every variable except m, working mod a prime;
-    # f is primitive, so its coefficients are ints: _pp_gcd only sees
+    # f is primitive, so its coefficients are ints: _pp_gcd_prs only sees
     # primitive parts, and a primitive divided by a primitive is integral
     p = _GCD_PRIME
     out: dict[int, int] = {}
@@ -400,14 +404,85 @@ def _pp_gcd(f: MPoly, g: MPoly) -> MPoly:
     # leading coefficient); result in the same normal form
     if f.is_const() or g.is_const():
         return MPoly.const(f.vars, 1)
+    h = _heu_gcd(f, g)
+    return _pp_gcd_prs(f, g) if h is None else h
+
+
+_HEU_TRIES = 6
+
+
+def _heu_gcd(f: MPoly, g: MPoly) -> MPoly | None:
+    """gcd of two nonzero integer polynomials, integer content included, by
+    GCDHEU; None when the heuristic gives up.  With xi >= 2*min(|f|, |g|) + 2
+    a candidate that divides both inputs is provably the gcd."""
+    c = _igcd(_igcd(*f.terms.values()), _igcd(*g.terms.values()))
+    m = max((i for e in (*f.terms, *g.terms) for i, p in enumerate(e) if p), default=-1)
+    if m < 0:
+        return MPoly.const(f.vars, c)
+    if c != 1:
+        # an inner level loses factors unless the common content goes first
+        f, g = f._divide(c), g._divide(c)
+    xi = 2 * min(max(map(abs, f.terms.values())), max(map(abs, g.terms.values()))) + 29
+    for _ in range(_HEU_TRIES):
+        ff, gg = _eval_at(f, m, xi), _eval_at(g, m, xi)
+        if ff.terms and gg.terms:
+            h = _heu_gcd(ff, gg)
+            if h is None:
+                return None
+            cand = _xi_adic(h, m, xi).primitive_part()
+            if cand.is_const():
+                # its primitive part 1 divides everything
+                return MPoly.const(f.vars, c)
+            try:
+                divexact(f, cand)
+                divexact(g, cand)
+            except ValueError:
+                pass
+            else:
+                return cand if c == 1 else cand._scale(c)
+        xi = 73794 * xi * _isqrt(_isqrt(xi)) // 27011
+    return None
+
+
+def _eval_at(f: MPoly, m: int, xi: int) -> MPoly:
+    # substitute the integer xi for variable m
+    t: dict[tuple[int, ...], int] = {}
+    for e, c in f.terms.items():
+        k = e[:m] + (0,) + e[m + 1 :]
+        t[k] = t.get(k, 0) + c * xi ** e[m]
+    return MPoly(f.vars, t)
+
+
+def _xi_adic(h: MPoly, m: int, xi: int) -> MPoly:
+    # rebuild variable m from the symmetric base-xi digits of each coefficient
+    t: dict[tuple[int, ...], int] = {}
+    half = xi // 2
+    for e, c in h.terms.items():
+        d = 0
+        while c:
+            r = c % xi
+            if r > half:
+                r -= xi
+            if r:
+                t[e[:m] + (d,) + e[m + 1 :]] = r
+            c = (c - r) // xi
+            d += 1
+    return MPoly(h.vars, t)
+
+
+def _pp_gcd_prs(f: MPoly, g: MPoly) -> MPoly:
+    # the reference: the same contract as _pp_gcd, by a primitive
+    # pseudo-remainder sequence only
+    if f.is_const() or g.is_const():
+        return MPoly.const(f.vars, 1)
     m = max(i for e in list(f.terms) + list(g.terms) for i, p in enumerate(e) if p)
     df, dg = _deg_in(f, m), _deg_in(g, m)
     if df == 0:
-        return _pp_gcd(f, _cont_in(g, m))
+        return _pp_gcd_prs(f, _cont_in(g, m))
     if dg == 0:
-        return _pp_gcd(_cont_in(f, m), g)
+        return _pp_gcd_prs(_cont_in(f, m), g)
     cf, cg = _cont_in(f, m), _cont_in(g, m)
-    cont = _pp_gcd(cf, cg)
+    cont = _pp_gcd_prs(cf, cg)
     bound = _image_degree_bound(f, g, m, df, dg)
     if bound == 0:
         # the gcd is free of the main variable, so it divides both contents

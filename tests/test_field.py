@@ -4,10 +4,12 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 from pathlib import Path
 
 import pytest
 
+import liediff.field
 from liediff import (
     DerivationAction,
     DivisionByZero,
@@ -184,6 +186,52 @@ class TestGcd:
             assert divexact(f1, h) * h == f1
             assert divexact(f2, h) * h == f2
             assert divexact(h, g) * g == h
+
+    def test_inner_levels_keep_their_content(self):
+        # evaluating y leaves 5*xi^2*x^2 and 11*xi^3*x: the factor xi^2 is
+        # integer content of the inner level, and y^2 rebuilds from it
+        f = MPoly(VARS, {(2, 2): 5})
+        g = MPoly(VARS, {(1, 3): 11})
+        assert mpoly_gcd(f, g) == MPoly(VARS, {(1, 2): 1})
+        assert liediff.field._heu_gcd(f, g) == MPoly(VARS, {(1, 2): 1})
+
+    def test_xi_grows_and_agrees_with_prs(self, monkeypatch):
+        # large coefficients make some first evaluation points fail; the
+        # retries must still give the reference's answer
+        field = liediff.field
+        growths = []
+        monkeypatch.setattr(field, "_isqrt", lambda n: growths.append(n) or isqrt(n))
+        rng = random.Random(5)
+        vars = ("x", "y", "z")
+
+        def big():
+            # up to 3 terms, each exponent up to 2, coefficients up to 10^6
+            return MPoly(vars, {
+                tuple(rng.randint(0, 2) for _ in vars): rng.randint(1, 10**6) * rng.choice((1, -1))
+                for _ in range(rng.randint(1, 3))
+            })
+
+        for _ in range(40):
+            h = big()
+            f, g = ((big() * h).primitive_part() for _ in range(2))
+            assert field._pp_gcd(f, g) == field._pp_gcd_prs(f, g)
+        assert growths
+
+    def test_forced_fallback_gives_the_same_gcd(self, monkeypatch):
+        field = liediff.field
+        rng = random.Random(12)
+        pairs = []
+        for vars in [("x",), VARS, ("x", "y", "z")]:
+            for _ in range(10):
+                h = rand_nonzero_poly(rng, vars, 2)
+                pairs.append((rand_poly(rng, vars, 2) * h, rand_nonzero_poly(rng, vars, 2) * h))
+        want = [mpoly_gcd(f, g) for f, g in pairs]
+        fallbacks = []
+        real_prs = field._pp_gcd_prs
+        monkeypatch.setattr(field, "_heu_gcd", lambda f, g: None)
+        monkeypatch.setattr(field, "_pp_gcd_prs", lambda f, g: fallbacks.append(f) or real_prs(f, g))
+        assert [mpoly_gcd(f, g) for f, g in pairs] == want
+        assert fallbacks
 
 
 class TestDerive:

@@ -1,11 +1,11 @@
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
 
 from liediff import (
     ArityMismatch,
-    MPoly,
     NotIndependent,
     Presentation,
     RatFunc,
@@ -20,7 +20,6 @@ from liediff import (
     matrix_invert,
     matrix_rank,
     parse_field_expr,
-    ratfunc_normalize,
 )
 from liediff import ops
 from conftest import make_presentation, rand_poly, rand_ratfunc
@@ -77,12 +76,12 @@ def _det(M, vars):
     return total
 
 
-def _one_variable_fraction(rng, vars, deg):
-    # a numerator over 1 or over one variable: with general denominators in
-    # three variables some inverses reach the slow tail of mpoly_gcd (see
-    # perfbench/NOTES.md)
-    den = MPoly.const(vars, 1) if rng.random() < 0.3 else MPoly.variable(vars, rng.choice(vars))
-    return ratfunc_normalize(rand_poly(rng, vars, deg), den)
+def _assert_inverse(A, inv):
+    vars = A[0][0].vars
+    for i in range(len(A)):
+        for j in range(len(A)):
+            prod = sum((A[i][k] * inv[k][j] for k in range(len(A))), RatFunc.zero(vars))
+            assert prod.is_one() if i == j else prod.is_zero()
 
 
 def _first_invertible_minor(pres):
@@ -111,20 +110,26 @@ class TestMatrixHelpers:
 
     def test_invert_roundtrip(self, p1, p_heis):
         rng = random.Random(81)
-        cases = [(p1, 2, rand_ratfunc)] * 10 + [(p_heis, 3, _one_variable_fraction)] * 6
-        for pres, size, entry in cases:
-            A = [[entry(rng, pres.vars, 1) for _ in range(size)] for _ in range(size)]
+        for pres, size in [(p1, 2)] * 10 + [(p_heis, 3)] * 6:
+            A = [[rand_ratfunc(rng, pres.vars, 1, 1) for _ in range(size)] for _ in range(size)]
             inv = matrix_invert(A)
             if inv is None:
                 assert matrix_rank(A) < size
                 assert _det(A, pres.vars).is_zero()
                 continue
-            for i in range(size):
-                for j in range(size):
-                    prod = sum(
-                        (A[i][k] * inv[k][j] for k in range(size)), RatFunc.zero(pres.vars)
-                    )
-                    assert prod.is_one() if i == j else prod.is_zero()
+            _assert_inverse(A, inv)
+
+    @pytest.mark.parametrize("seed", [107, 120])
+    def test_invert_three_variable_gcd_tail(self, seed):
+        # general denominators over (x, y, z): these two seeds once spent
+        # over 30 s and over 4 minutes in the pseudo-remainder gcd
+        rng = random.Random(seed)
+        V = ("x", "y", "z")
+        A = [[rand_ratfunc(rng, V, 1, 1) for _ in range(3)] for _ in range(3)]
+        start = time.perf_counter()
+        inv = matrix_invert(A)
+        assert time.perf_counter() - start < 5.0
+        _assert_inverse(A, inv)
 
 
 class TestLinearIndependence:

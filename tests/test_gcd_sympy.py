@@ -11,8 +11,8 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from liediff import MPoly, mpoly_gcd, ratfunc_normalize  # noqa: E402
-from conftest import rand_nonzero_poly, rand_poly  # noqa: E402
+from liediff import MPoly, matrix_invert, mpoly_gcd, ratfunc_normalize  # noqa: E402
+from conftest import rand_nonzero_poly, rand_poly, rand_ratfunc  # noqa: E402
 
 
 def to_sympy(f: MPoly, gens):
@@ -30,25 +30,47 @@ def positive_lead(f: MPoly) -> MPoly:
     return -f if not f.is_zero() and f.leading()[1] < 0 else f
 
 
-def planted_pairs(seed, vars, count):
-    """Random pairs f = a*h, g = b*h sharing a planted factor h, and h."""
+def planted_pairs(seed, vars, count, deg=2):
+    """Random pairs f = a*h, g = b*h sharing a planted factor h of degree at
+    most deg, or deg + 1 for half of them."""
     rng = random.Random(seed)
     for _ in range(count):
-        h = rand_nonzero_poly(rng, vars, 2)
+        h = rand_nonzero_poly(rng, vars, deg)
         if rng.random() < 0.5:
             h = h * rand_nonzero_poly(rng, vars, 1)
         yield rand_poly(rng, vars, 2) * h, rand_nonzero_poly(rng, vars, 2) * h
 
 
+def assert_gcd_matches_sympy(f, g, vars):
+    gens = sympy.symbols(vars)
+    # over ZZ sympy keeps the gcd of the integer contents, as liediff does
+    theirs = sympy.gcd(to_sympy(f, gens).set_domain("ZZ"), to_sympy(g, gens).set_domain("ZZ"))
+    assert mpoly_gcd(f, g) == positive_lead(from_sympy(theirs, vars)), (f, g)
+
+
 @pytest.mark.parametrize("vars", [("x", "y"), ("x", "y", "z")])
 def test_gcd_matches_sympy(vars):
-    gens = sympy.symbols(vars)
     for f, g in planted_pairs(41 + len(vars), vars, 25):
-        ours = mpoly_gcd(f, g)
-        # over ZZ sympy keeps the gcd of the integer contents, as liediff does
-        theirs = sympy.gcd(to_sympy(f, gens).set_domain("ZZ"),
-                           to_sympy(g, gens).set_domain("ZZ"))
-        assert ours == positive_lead(from_sympy(theirs, vars)), (f, g)
+        assert_gcd_matches_sympy(f, g, vars)
+
+
+def test_gcd_matches_sympy_degree_three_factors():
+    vars = ("x", "y", "z")
+    for f, g in planted_pairs(47, vars, 25, deg=3):
+        assert_gcd_matches_sympy(f, g, vars)
+
+
+@pytest.mark.parametrize("seed, sizes", [(107, (39, 44)), (120, (64, 68))])
+def test_gcd_tail_seeds_match_sympy(seed, sizes, gcd_calls):
+    # every gcd of a 3x3 inverse over (x, y, z) whose largest arguments once
+    # sent the pseudo-remainder gcd into its slow tail
+    vars = ("x", "y", "z")
+    rng = random.Random(seed)
+    A = [[rand_ratfunc(rng, vars, 1, 1) for _ in range(3)] for _ in range(3)]
+    matrix_invert(A)
+    assert sizes in {(len(f.terms), len(g.terms)) for f, g in gcd_calls}
+    for f, g in gcd_calls:
+        assert_gcd_matches_sympy(f, g, vars)
 
 
 @pytest.mark.parametrize("vars", [("x", "y"), ("x", "y", "z")])

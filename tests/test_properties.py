@@ -1,19 +1,24 @@
 """Property tests: the table engine agrees with the rewrite oracle, the
 parser's evaluation in normal form agrees with normalizing the expanded
-words, and the polynomial kernel keeps its integer-coefficient invariant."""
+words, the polynomial kernel keeps its integer-coefficient invariant, the
+heuristic gcd agrees with the pseudo-remainder reference, and the field
+arithmetic and derivations obey their axioms on three-variable fractions."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import liediff.field  # noqa: E402
 from liediff import (  # noqa: E402
     MPoly,
     OpWord,
     RatFunc,
     derive,
+    divexact,
     mpoly_gcd,
     normalize,
     parse_field_expr,
@@ -138,13 +143,15 @@ def test_parse_equals_normalized_words_heisenberg(p_heis, data):
 # -- the integer-coefficient kernel -----------------------------------------
 
 
-def polys(vars, fractions=False):
-    """Sparse polynomials of total degree <= 2 with up to 3 terms; with
-    ``fractions``, coefficients p/q with q in 1..3 as well."""
-    exponents = st.tuples(*[st.integers(0, 2)] * len(vars)).filter(lambda e: sum(e) <= 2)
-    ints = st.integers(-4, 4)
+def polys(vars, fractions=False, bound=4, max_deg=2, max_size=3):
+    """Sparse polynomials of total degree <= max_deg with up to max_size
+    terms and integer coefficients in [-bound, bound]; with ``fractions``,
+    coefficients p/q with q in 1..3 as well."""
+    exponents = st.tuples(*[st.integers(0, max_deg)] * len(vars)).filter(
+        lambda e: sum(e) <= max_deg)
+    ints = st.integers(-bound, bound)
     coeff = st.builds(Fraction, ints, st.integers(1, 3)) if fractions else ints
-    return st.dictionaries(exponents, coeff, max_size=3).map(lambda t: MPoly(vars, t))
+    return st.dictionaries(exponents, coeff, max_size=max_size).map(lambda t: MPoly(vars, t))
 
 
 def ratfuncs(vars):
@@ -229,3 +236,85 @@ def test_gcd_of_planted_factor_p1(p1, data):
 @given(data=st.data())
 def test_gcd_of_planted_factor_heisenberg(p_heis, data):
     _gcd_scales(p_heis.vars, data)
+
+
+# -- the heuristic gcd against the pseudo-remainder reference ----------------
+
+HEU_VARS = [("x",), ("x", "y"), ("x", "y", "z")]
+
+
+def _nonzero(polys):
+    return polys.filter(lambda p: not p.is_zero())
+
+
+def planted_factors(vars, bound):
+    """A shared factor: a monomial, a general polynomial, or 1 (the cofactors
+    of a random pair are then usually coprime)."""
+    monomials = _nonzero(polys(vars, bound=bound, max_deg=3, max_size=1))
+    return st.one_of(monomials, _nonzero(polys(vars, bound=bound)), st.just(MPoly.const(vars, 1)))
+
+
+def _planted_pair(data, bound):
+    vars = data.draw(st.sampled_from(HEU_VARS))
+    h = data.draw(planted_factors(vars, bound))
+    cofactors = _nonzero(polys(vars, bound=bound))
+    return data.draw(cofactors) * h, data.draw(cofactors) * h, h
+
+
+@PROPERTY
+@given(data=st.data(), bound=st.sampled_from([4, 10**3, 10**6]))
+def test_heuristic_gcd_equals_prs(data, bound):
+    # large coefficients make the first evaluation point fail more often,
+    # so xi has to grow
+    f, g, h = _planted_pair(data, bound)
+    f, g = f.primitive_part(), g.primitive_part()
+    got = liediff.field._pp_gcd(f, g)
+    assert got == liediff.field._pp_gcd_prs(f, g)
+    h = h.primitive_part()
+    assert divexact(got, h) * h == got
+
+
+@PROPERTY
+@given(data=st.data())
+def test_heuristic_mpoly_gcd_equals_prs_on_fractions(data):
+    vars = data.draw(st.sampled_from(HEU_VARS))
+    f, g, h = (data.draw(polys(vars, fractions=True)) for _ in range(3))
+    f, g = f * h, g * h
+    got = mpoly_gcd(f, g)
+    with mock.patch.object(liediff.field, "_pp_gcd", liediff.field._pp_gcd_prs):
+        assert got == mpoly_gcd(f, g)
+
+
+# -- field axioms and derivations on three-variable fractions ----------------
+
+XYZ = ("x", "y", "z")
+
+
+@PROPERTY
+@given(a=ratfuncs(XYZ), b=ratfuncs(XYZ), c=ratfuncs(XYZ))
+def test_field_axioms(a, b, c):
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    if not a.is_zero():
+        assert (a / a).is_one()
+
+
+@PROPERTY
+@given(r=ratfuncs(XYZ))
+def test_canonical_form_is_idempotent(r):
+    assert ratfunc_normalize(r.num, r.den) == r
+
+
+@PROPERTY
+@given(data=st.data())
+def test_derive_leibniz_and_quotient_rule(p_heis, data):
+    f, g = data.draw(ratfuncs(XYZ)), data.draw(ratfuncs(XYZ))
+    c = data.draw(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)))
+    for D in p_heis.derivations:
+        df, dg = derive(D, f), derive(D, g)
+        assert derive(D, f * g) == df * g + f * dg
+        if not g.is_zero():
+            assert derive(D, f / g) == (df * g - f * dg) / (g * g)
+        assert derive(D, RatFunc.const(XYZ, c)).is_zero()
