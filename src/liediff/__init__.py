@@ -39,6 +39,7 @@ from .field import (
     coordinate_delta,
     derive,
     divexact,
+    lincomb,
     mpoly_gcd,
     ratfunc_arith,
     ratfunc_normalize,

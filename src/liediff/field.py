@@ -18,10 +18,11 @@ do not depend on the stored type.  Every coefficient division goes through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd as _igcd, isqrt as _isqrt, lcm as _ilcm
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -522,6 +523,24 @@ def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
     return h if c == 1 else h._scale(c)
 
 
+def _poly_lcm(a: MPoly, b: MPoly) -> MPoly:
+    """Least common multiple of two nonzero integer polynomials with positive
+    leading coefficients, integer content included: _poly_lcm(2x, 4) = 4x."""
+    if b._is_one() or a == b:
+        return a
+    if a._is_one():
+        return b
+    return divexact(a * b, mpoly_gcd(a, b))
+
+
+@lru_cache(maxsize=256)
+def _unit(vars: tuple[str, ...]) -> MPoly:
+    # the denominator 1 that the polynomial RatFuncs over vars share, so
+    # that they do not each hold a copy; nothing mutates an MPoly, so
+    # sharing it is safe
+    return MPoly.const(vars, 1)
+
+
 class RatFunc:
     """Canonical fraction of two MPoly values; immutable."""
 
@@ -542,22 +561,29 @@ class RatFunc:
     @classmethod
     def zero(cls, vars: Iterable[str]) -> "RatFunc":
         vars = tuple(vars)
-        return cls(MPoly.zero(vars), MPoly.const(vars, 1))
+        return cls(MPoly.zero(vars), _unit(vars))
 
     @classmethod
     def const(cls, vars: Iterable[str], c) -> "RatFunc":
-        return cls.from_poly(MPoly.const(vars, c))
+        # the reduced fraction c = a/b is the canonical pair a over b
+        vars = tuple(vars)
+        c = Fraction(c)
+        if not c:
+            return cls.zero(vars)
+        z = (0,) * len(vars)
+        b = c.denominator
+        return cls(MPoly(vars, {z: c.numerator}), _unit(vars) if b == 1 else MPoly(vars, {z: b}))
 
     @classmethod
     def variable(cls, vars: Iterable[str], name: str) -> "RatFunc":
         vars = tuple(vars)
-        return cls(MPoly.variable(vars, name), MPoly.const(vars, 1))
+        return cls(MPoly.variable(vars, name), _unit(vars))
 
     @classmethod
     def from_poly(cls, p: MPoly) -> "RatFunc":
         # a polynomial over 1 has no common factor to cancel: only the
         # contents (a Fraction coefficient included) need fixing
-        return _canonical_scale(p, MPoly.const(p.vars, 1))
+        return _canonical_scale(p, _unit(p.vars))
 
     # -- predicates ----------------------------------------------------------
 
@@ -794,6 +820,9 @@ def ratfunc_normalize(num: MPoly, den: MPoly) -> RatFunc:
     num._require_same_vars(den)
     if num.is_zero():
         return RatFunc.zero(num.vars)
+    if den.is_const():
+        # no polynomial factor to cancel: only the contents need fixing
+        return _canonical_scale(num, den)
     g = mpoly_gcd(num, den)
     return _canonical_scale(divexact(num, g), divexact(den, g))
 
@@ -813,11 +842,17 @@ def ratfunc_arith(op: str, f: RatFunc, g: RatFunc) -> RatFunc:
 
 @dataclass(frozen=True)
 class DerivationAction:
-    """A derivation given by its images on the declared variables."""
+    """A derivation given by its images on the declared variables.
+
+    The images are also kept over one common denominator, images[j] =
+    nums[j] / den, with den the lcm of their denominators; ``derive`` reads
+    these, and they take no part in equality, hashing or the repr."""
 
     name: str
     vars: tuple[str, ...]
     images: tuple[RatFunc, ...]
+    nums: tuple[MPoly, ...] = dc_field(init=False, repr=False, compare=False)
+    den: MPoly = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.images) != len(self.vars):
@@ -825,29 +860,90 @@ class DerivationAction:
                 f"derivation {self.name} needs one image per variable, "
                 f"got {len(self.images)} for {len(self.vars)}"
             )
+        if any(im.vars != self.vars for im in self.images):
+            raise UnknownVariable(
+                f"an image of derivation {self.name} is over other variables"
+            )
+        den = reduce(_poly_lcm, (im.den for im in self.images), _unit(self.vars))
+        nums = tuple(
+            im.num if im.den == den else im.num * divexact(den, im.den)
+            for im in self.images
+        )
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
 
 
 def derive(action: DerivationAction, f: RatFunc) -> RatFunc:
     """The unique derivation extending the generator images: additive,
-    Leibniz on products, quotient rule on fractions, zero on constants."""
+    Leibniz on products, quotient rule on fractions, zero on constants.
+
+    With the images over their common denominator Q, D(N) = D'(N) / Q for
+    D'(N) = sum_j d_jN * P_j, and D(N/R) = (R*D'(N) - N*D'(R)) / (Q*R^2); each
+    numerator is one integer-coefficient sum, normalized once."""
     if f.vars != action.vars:
         raise UnknownVariable("value and derivation are over different variables")
-    dnum = _derive_poly(action, f.num)
-    if f.den._is_one():
-        return dnum
-    n = RatFunc.from_poly(f.num)
-    d = RatFunc.from_poly(f.den)
-    dden = _derive_poly(action, f.den)
-    return (dnum * d - n * dden) / (d * d)
+    q, r = action.den, f.den
+    dn = _derive_poly(action, f.num)
+    if r._is_one():
+        # an integer-coefficient polynomial over 1 is canonical already
+        return RatFunc(dn, q) if q._is_one() else ratfunc_normalize(dn, q)
+    return ratfunc_normalize(r * dn - f.num * _derive_poly(action, r), q * r * r)
 
 
-def _derive_poly(action: DerivationAction, p: MPoly) -> RatFunc:
-    out = RatFunc.zero(p.vars)
-    for j in range(len(p.vars)):
-        pj = p.partial(j)
-        if not pj.is_zero():
-            out = out + RatFunc.from_poly(pj) * action.images[j]
-    return out
+def _derive_poly(action: DerivationAction, p: MPoly) -> MPoly:
+    # D'(p) = sum_j d_j(p) * nums[j], added into one dict
+    t: dict[tuple[int, ...], int] = {}
+    for j, pj in enumerate(action.nums):
+        if not pj.terms:
+            continue
+        for e, c in p.terms.items():
+            k = e[j]
+            if k:
+                e1 = e[:j] + (k - 1,) + e[j + 1 :]
+                ck = c * k
+                for e2, c2 in pj.terms.items():
+                    m = tuple(map(add, e1, e2))
+                    t[m] = t.get(m, 0) + ck * c2
+    return MPoly(p.vars, t)
+
+
+def lincomb(pairs: Iterable[tuple[RatFunc, RatFunc]], vars: Sequence[str]) -> RatFunc:
+    """The field element sum a*b over the (a, b) in pairs, normalized once.
+
+    The products are taken unreduced and grouped by denominator, so that
+    equal denominators just add their numerators; the groups are then merged
+    over the lcm of their denominators, found through their gcds, and the sum
+    is reduced by a single ``ratfunc_normalize``."""
+    groups: dict[MPoly, dict] = {}
+    for a, b in pairs:
+        if a.is_zero() or b.is_zero():
+            continue
+        if a.den._is_one():
+            den = b.den
+        elif b.den._is_one():
+            den = a.den
+        else:
+            den = a.den * b.den
+        t = groups.setdefault(den, {})
+        bt = b.num.terms.items()
+        for e1, c1 in a.num.terms.items():
+            for e2, c2 in bt:
+                e = tuple(map(add, e1, e2))
+                t[e] = t.get(e, 0) + c1 * c2
+    num = den = None
+    for d, t in groups.items():
+        n = MPoly(vars, t)
+        if not n.terms:
+            continue
+        if den is None:
+            num, den = n, d
+            continue
+        g = mpoly_gcd(den, d)
+        a, b = divexact(den, g), divexact(d, g)
+        num, den = num * b + n * a, a * d
+    if num is None:
+        return RatFunc.zero(vars)
+    return RatFunc(num, den) if den._is_one() else ratfunc_normalize(num, den)
 
 
 def coordinate_delta(vars: Sequence[str], i: int) -> DerivationAction:

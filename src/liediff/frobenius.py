@@ -13,6 +13,7 @@ vectors and the commuting basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import (
     ArityMismatch,
@@ -25,18 +26,14 @@ from .field import (
     DerivationAction,
     MPoly,
     RatFunc,
+    _poly_lcm,
     divexact,
-    mpoly_gcd,
     ratfunc_normalize,
 )
 from .lie import Presentation, StructureConstants, bracket_residuals
 from .ops import first_order_brackets
 
 Matrix = list  # list of rows of RatFunc
-
-
-def _poly_lcm(a: MPoly, b: MPoly) -> MPoly:
-    return divexact(a * b, mpoly_gcd(a, b))
 
 
 def _eliminate(mat: Matrix, full: bool) -> tuple[list[list[MPoly]], list[int], MPoly]:
@@ -47,9 +44,7 @@ def _eliminate(mat: Matrix, full: bool) -> tuple[list[list[MPoly]], list[int], M
     rows = []
     for row in mat:
         # the row times the lcm of its denominators
-        scale = MPoly.const(row[0].vars, 1)
-        for ent in row:
-            scale = _poly_lcm(scale, ent.den)
+        scale = reduce(_poly_lcm, (ent.den for ent in row))
         rows.append([ent.num * divexact(scale, ent.den) for ent in row])
     nr, nc = len(rows), len(rows[0])
     prev = MPoly.const(rows[0][0].vars, 1)
@@ -199,15 +194,12 @@ def change_basis_check(
         raise ArityMismatch(f"basis matrix must be {n}x{n}")
     if beta.n != n:
         raise ArityMismatch("target structure constants have the wrong dimension")
-    brackets = first_order_brackets(A, p)
+    residuals = first_order_brackets(A, p, beta)
     out = []
     for l in range(1, n + 1):
         for k in range(1, n + 1):
-            bracket = brackets[l - 1][k - 1]
             for j in range(1, n + 1):
-                res = bracket[j - 1]
-                for m, c in beta.bracket(l, k):
-                    res = res - c * A[m - 1][j - 1]
+                res = residuals[l - 1][k - 1][j - 1]
                 if not res.is_zero():
                     out.append(Violation(f"(l,k,j)=({l},{k},{j})", res))
     return out

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ArityMismatch, NonConstantStructureConstants, Violation
-from .field import DerivationAction, RatFunc, derive
+from .field import DerivationAction, RatFunc, derive, lincomb
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,13 +119,14 @@ def bracket_residuals(p: Presentation):
     Each D_k acts through its generator images alone, so the check does not
     assume the structure constants it tests.  No residual means the relation
     holds on the whole field, because both sides are derivations."""
+    one = RatFunc.const(p.vars, 1)
     for k in range(1, p.n + 1):
         for l in range(k + 1, p.n + 1):
             dk, dl = p.derivation(k), p.derivation(l)
             for j, v in enumerate(p.vars):
-                r = derive(dk, dl.images[j]) - derive(dl, dk.images[j])
-                for m, c in p.alpha.bracket(k, l):
-                    r = r - c * p.derivation(m).images[j]
+                terms = [(derive(dk, dl.images[j]), one), (-derive(dl, dk.images[j]), one)]
+                terms += [(-c, p.derivation(m).images[j]) for m, c in p.alpha.bracket(k, l)]
+                r = lincomb(terms, p.vars)
                 if not r.is_zero():
                     yield k, l, v, r
 
@@ -143,8 +144,7 @@ def apply_first_order(coeffs, f: RatFunc, p: Presentation) -> RatFunc:
     """Apply the first-order operator sum_i coeffs[i] * D_i to a field element."""
     if len(coeffs) != p.n:
         raise ArityMismatch("coefficient vector arity differs from n")
-    out = RatFunc.zero(p.vars)
-    for i in range(p.n):
-        if not coeffs[i].is_zero():
-            out = out + coeffs[i] * derive(p.derivations[i], f)
-    return out
+    return lincomb(
+        [(c, derive(D, f)) for c, D in zip(coeffs, p.derivations) if not c.is_zero()],
+        p.vars,
+    )

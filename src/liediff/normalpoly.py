@@ -27,7 +27,7 @@ from .errors import (
 )
 from .field import RatFunc, SparseSum, _add_to, derive, format_sum
 from .lie import Presentation
-from .ops import NormalOperator, PBWTable, _times, apply_operator
+from .ops import PBWTable, _times
 
 # A generator is a multi-index (tuple of ints) for X_I or a string for a slot.
 
@@ -189,14 +189,20 @@ def eval_hom(q: NormalPoly, b: RatFunc, p: Presentation) -> RatFunc:
     slots = q.slots()
     if slots:
         raise UnboundSlot(f"unsubstituted slots {sorted(slots)}")
-    cache: dict = {}
+    if q.n != p.n:
+        raise ArityMismatch("normal polynomial arity differs from the presentation")
+    # D^I b = D_l(D^(I - e_l) b) for the first l with I_l > 0, from the cache
+    cache: dict = {(0,) * p.n: b}
 
     def dvalue(I) -> RatFunc:
-        v = cache.get(I)
-        if v is None:
-            one = RatFunc.const(p.vars, 1)
-            v = apply_operator(NormalOperator.monomial(p.vars, p.n, I, one), b, p)
-            cache[I] = v
+        chain = []
+        while I not in cache:
+            l = next(i for i, e in enumerate(I) if e)
+            chain.append((I, l))
+            I = I[:l] + (I[l] - 1,) + I[l + 1 :]
+        v = cache[I]
+        for J, l in reversed(chain):
+            v = cache[J] = derive(p.derivations[l], v)
         return v
 
     out = RatFunc.zero(p.vars)

@@ -36,7 +36,6 @@ exponential in the length of a word.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Iterable, Union
 
 from .errors import (
@@ -45,8 +44,8 @@ from .errors import (
     UnknownDerivation,
     UnknownVariable,
 )
-from .field import RatFunc, SparseSum, _add_to, derive, format_sum
-from .lie import Presentation
+from .field import RatFunc, SparseSum, _add_to, derive, format_sum, lincomb
+from .lie import Presentation, StructureConstants
 
 #: A factor of a composition term: a derivation index (1-based) or a coefficient.
 Factor = Union[int, RatFunc]
@@ -392,7 +391,7 @@ def apply_operator(a: NormalOperator | OpWord, f: RatFunc, p: Presentation) -> R
     return out
 
 
-def first_order_brackets(rows, p: Presentation):
+def first_order_brackets(rows, p: Presentation, beta: StructureConstants | None = None):
     """Coefficient vectors of the brackets of first-order operators.
 
     For U_l = sum_i rows[l][i] D_i the bracket [U_l, U_k] is again first
@@ -401,12 +400,17 @@ def first_order_brackets(rows, p: Presentation):
         U_l(rows[k][j]) - U_k(rows[l][j])
           + sum_{r,s} rows[l][r] rows[k][s] alpha[r,s,j].
 
-    Every D_i(rows[k][j]) is derived once, and every U_l(rows[k][j]) is
-    summed once.  Antisymmetry is not assumed: each ordered pair (l, k) is
-    computed from the formula, so alpha need not be antisymmetric.
+    With structure constants ``beta`` (over as many rows as derivations),
+    ``out[l][k][j]`` also subtracts sum_m beta[l,k,m] rows[m][j]: the
+    residual of the bracket law [U_l, U_k] = sum_m beta[l,k,m] U_m.
+
+    Every D_i(rows[k][j]) is derived once, and every entry is one sum of
+    products (``lincomb``), normalized once.  Antisymmetry is not assumed:
+    each ordered pair (l, k) is computed from the formula, so alpha need not
+    be antisymmetric.
     """
     ls = range(len(rows))
-    flat = _brackets(rows, [(l, k) for l in ls for k in ls], p)
+    flat = _brackets(rows, [(l, k) for l in ls for k in ls], p, beta)
     return [flat[l * len(rows) : (l + 1) * len(rows)] for l in ls]
 
 
@@ -416,28 +420,33 @@ def first_order_commutator(u, v, p: Presentation):
     return _brackets([u, v], [(0, 1)], p)[0]
 
 
-def _brackets(rows, pairs, p: Presentation) -> list:
-    # the brackets [U_l, U_k] for the (l, k) in pairs, in that order; each
-    # U_l(rows[k][j]) is summed when a pair first needs it
+def _brackets(rows, pairs, p: Presentation, beta: StructureConstants | None = None) -> list:
+    # the brackets [U_l, U_k] for the (l, k) in pairs, in that order, less
+    # sum_m beta[l,k,m] U_m when beta is given; each coefficient is one
+    # lincomb of the U_l(rows[k][j]) and U_k(rows[l][j]) products, the alpha
+    # terms and the beta terms
     n = p.n
     if any(len(row) != n for row in rows):
         raise ArityMismatch("coefficient vectors must have one slot per derivation")
-    zero = RatFunc.zero(p.vars)
     # d[k][j] = (D_1(rows[k][j]), ..., D_n(rows[k][j]))
     d = [[[derive(D, x) for D in p.derivations] for x in row] for row in rows]
-
-    @cache
-    def act(l, k, j):
-        # U_l(rows[k][j]) = sum_i rows[l][i] D_i(rows[k][j])
-        return sum((c * e for c, e in zip(rows[l], d[k][j]) if not e.is_zero()), zero)
-
     out = []
     for l, k in pairs:
         u, v = rows[l], rows[k]
-        w = [act(l, k, j) - act(k, l, j) for j in range(n)]
+        extra = [[] for _ in range(n)]
         for r in range(n):
             for s in range(n):
                 for m, c in p.alpha.bracket(r + 1, s + 1):
-                    w[m - 1] = w[m - 1] + u[r] * v[s] * c
-        out.append(w)
+                    extra[m - 1].append((u[r] * c, v[s]))
+        if beta is not None:
+            for m, c in beta.bracket(l + 1, k + 1):
+                for j in range(n):
+                    extra[j].append((-c, rows[m - 1][j]))
+        out.append([
+            lincomb(
+                [*zip(u, d[k][j]), *((-a, e) for a, e in zip(v, d[l][j])), *extra[j]],
+                p.vars,
+            )
+            for j in range(n)
+        ])
     return out

@@ -17,6 +17,7 @@ from liediff import (
     MPoly,
     NegativeExponent,
     RatFunc,
+    UnknownVariable,
     ZeroDenominator,
     coordinate_delta,
     derive,
@@ -277,6 +278,53 @@ class TestDerive:
             f = rand_ratfunc(rng, VARS)
             g = rand_ratfunc(rng, VARS)
             assert derive(D, f + g) == derive(D, f) + derive(D, g)
+
+
+class TestDerivationAction:
+    def test_foreign_image_rejected_at_construction(self):
+        other = parse_field_expr("x", ("x", "z"))
+        with pytest.raises(UnknownVariable):
+            DerivationAction("D", VARS, (other, rf("1")))
+
+    def test_common_denominator(self):
+        D = DerivationAction("D", VARS, (rf("y/(2*x)"), rf("1/(x^2 + x)")))
+        assert D.den == rf("2*x^2 + 2*x").num
+        for im, num in zip(D.images, D.nums):
+            assert ratfunc_normalize(num, D.den) == im
+        polynomial = DerivationAction("D", VARS, (rf("x"), rf("0")))
+        assert polynomial.den == MPoly.const(VARS, 1)
+
+    def test_cached_fields_leave_equality_hash_and_repr(self):
+        def make():
+            return DerivationAction("D", VARS, (rf("1/x"), rf("y/(x + 1)")))
+
+        a, b = make(), make()
+        assert a == b and hash(a) == hash(b)
+        assert a != DerivationAction("E", VARS, a.images)
+        assert repr(a) == (
+            "DerivationAction(name='D', vars=('x', 'y'), "
+            "images=(RatFunc(1/x), RatFunc(y/(x + 1))))"
+        )
+
+
+class TestUnitDenominator:
+    def test_polynomials_share_one_denominator(self):
+        unit = RatFunc.zero(VARS).den
+        for f in (
+            RatFunc.const(VARS, 5),
+            RatFunc.const(VARS, Fraction(-4, 2)),
+            RatFunc.variable(VARS, "y"),
+            RatFunc.from_poly(MPoly(VARS, {(1, 1): 3})),
+        ):
+            assert f.den is unit
+        assert RatFunc.zero(("x",)).den is not unit
+
+    def test_const_is_canonical(self):
+        for c in (0, 7, -3, Fraction(6, -4), Fraction(0, 5), 2.5, True):
+            got = RatFunc.const(VARS, c)
+            ref = ratfunc_normalize(MPoly.const(VARS, c), MPoly.const(VARS, 1))
+            assert (got.num, got.den) == (ref.num, ref.den)
+            assert got.const_value() == Fraction(c)
 
 
 class TestCoordinateDelta:

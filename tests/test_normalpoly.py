@@ -5,11 +5,13 @@ import pytest
 from liediff import (
     ArityMismatch,
     NegativeExponent,
+    NormalOperator,
     NormalPoly,
     OpWord,
     RatFunc,
     TruncationExceeded,
     UnboundSlot,
+    apply_operator,
     axiom1_instance_check,
     derive,
     derive_normal,
@@ -21,6 +23,7 @@ from liediff import (
     rewrite_normalize,
     substitute_slots,
 )
+from liediff import normalpoly, ops
 from liediff.normalpoly import x_action
 from conftest import rand_npoly, rand_poly, rand_ratfunc
 
@@ -135,6 +138,40 @@ class TestEvalHom:
     def test_unbound_slot_rejected(self, p1):
         with pytest.raises(UnboundSlot):
             eval_hom(np_("a1*X[0,0]", p1), rf("x", p1), p1)
+
+    def test_iterated_derivatives_reused(self, p1, p_nc, monkeypatch):
+        # D^I b is derived once from D^(I - e_l) b: four derive calls for the
+        # chain X[1,0] .. X[4,0], where one application per X made ten
+        calls = []
+        real = normalpoly.derive
+
+        def counting(action, f):
+            calls.append(action.name)
+            return real(action, f)
+
+        monkeypatch.setattr(normalpoly, "derive", counting)
+        monkeypatch.setattr(ops, "derive", counting)
+        b = rf("x^5*y/(x + y)", p1)
+        got = eval_hom(np_("X[1,0] + X[2,0] + X[3,0] + X[4,0]", p1), b, p1)
+        assert len(calls) == 4
+        words = NormalOperator(p1.vars, 2, {(k, 0): rf("1", p1) for k in range(1, 5)})
+        monkeypatch.undo()
+        assert got == apply_operator(words, b, p1)
+        # mixed indices on a non-constant bracket, against apply_operator
+        for text in ("X[2,1]*X[0,2] + y*X[1,2]^2", "X[0,3] - X[3,0]*X[1,1]"):
+            q, b = np_(text, p_nc), rf("(x^2 + y)/(x - y + 1)", p_nc)
+            ref = RatFunc.zero(p_nc.vars)
+            for m, c in q.terms.items():
+                v = c
+                for I, e in m:
+                    one = NormalOperator.monomial(p_nc.vars, 2, I, rf("1", p_nc))
+                    v = v * apply_operator(one, b, p_nc) ** e
+                ref = ref + v
+            assert eval_hom(q, b, p_nc) == ref
+
+    def test_arity_checked(self, p1, p_heis):
+        with pytest.raises(ArityMismatch):
+            eval_hom(np_("X[1,0,0]", p_heis), rf("x", p1), p1)
 
 
 class TestAxiom1:

@@ -1,8 +1,10 @@
 """Property tests: the table engine agrees with the rewrite oracle, the
 parser's evaluation in normal form agrees with normalizing the expanded
 words, the polynomial kernel keeps its integer-coefficient invariant, the
-heuristic gcd agrees with the pseudo-remainder reference, and the field
-arithmetic and derivations obey their axioms on three-variable fractions."""
+heuristic gcd agrees with the pseudo-remainder reference, the field
+arithmetic and derivations obey their axioms on three-variable fractions, and
+derivation over one common denominator and the one-normalization sum of
+products agree with their pairwise references."""
 
 from fractions import Fraction
 from unittest import mock
@@ -14,11 +16,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import liediff.field  # noqa: E402
 from liediff import (  # noqa: E402
+    DerivationAction,
     MPoly,
     OpWord,
     RatFunc,
     derive,
     divexact,
+    lincomb,
     mpoly_gcd,
     normalize,
     parse_field_expr,
@@ -318,3 +322,75 @@ def test_derive_leibniz_and_quotient_rule(p_heis, data):
         if not g.is_zero():
             assert derive(D, f / g) == (df * g - f * dg) / (g * g)
         assert derive(D, RatFunc.const(XYZ, c)).is_zero()
+
+
+# -- one common denominator: derive and lincomb against pairwise references ----
+
+
+def _pairwise_derive(D, f: RatFunc) -> RatFunc:
+    # the reference: one RatFunc per partial derivative, added pairwise, and
+    # the quotient rule in RatFunc arithmetic
+    def dpoly(p: MPoly) -> RatFunc:
+        out = RatFunc.zero(p.vars)
+        for j in range(len(p.vars)):
+            pj = p.partial(j)
+            if not pj.is_zero():
+                out = out + RatFunc.from_poly(pj) * D.images[j]
+        return out
+
+    dn = dpoly(f.num)
+    if f.den == MPoly.const(f.vars, 1):
+        return dn
+    n, d = RatFunc.from_poly(f.num), RatFunc.from_poly(f.den)
+    return (dn * d - n * dpoly(f.den)) / (d * d)
+
+
+#: Images whose denominators are not constant and share factors.
+SHARED_DENOMINATORS = [
+    ("1/x", "y/(x*(x+1))", "1/(x+1)^2"),
+    ("(x + y)/(x+1)^2", "0", "3/(2*x)"),
+    ("z/(x*y)", "1/(x*(x+1))", "x - y"),
+]
+
+
+def _action(images):
+    return DerivationAction("D", XYZ, tuple(parse_field_expr(s, XYZ) for s in images))
+
+
+def _derive_agrees(D, f, g):
+    df, dg = derive(D, f), derive(D, g)
+    assert df == _pairwise_derive(D, f)
+    assert derive(D, f * g) == df * g + f * dg
+    assert derive(D, f + g) == df + dg
+
+
+@PROPERTY
+@given(data=st.data())
+def test_derive_equals_pairwise_shared_denominators(data):
+    f, g = data.draw(ratfuncs(XYZ)), data.draw(ratfuncs(XYZ))
+    for images in SHARED_DENOMINATORS:
+        _derive_agrees(_action(images), f, g)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_derive_equals_pairwise_random_images(data):
+    images = data.draw(st.tuples(*[ratfuncs(XYZ)] * 3))
+    D = DerivationAction("D", XYZ, images)
+    _derive_agrees(D, data.draw(ratfuncs(XYZ)), data.draw(ratfuncs(XYZ)))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_lincomb_equals_pairwise_sum(data):
+    # factors drawn from a small pool, so that products share denominators
+    pool = data.draw(st.lists(ratfuncs(XYZ), min_size=1, max_size=4))
+    index = st.integers(0, len(pool) - 1)
+    pairs = [(pool[i], pool[j]) for i, j in data.draw(st.lists(st.tuples(index, index), max_size=6))]
+    ref = RatFunc.zero(XYZ)
+    for a, b in pairs:
+        ref = ref + a * b
+    assert lincomb(pairs, XYZ) == ref
+    if pairs:
+        a, b = pairs[0]
+        assert lincomb(pairs + [(-a, b)], XYZ) == ref - a * b
