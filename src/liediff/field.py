@@ -913,9 +913,14 @@ def lincomb(pairs: Iterable[tuple[RatFunc, RatFunc]], vars: Sequence[str]) -> Ra
     The products are taken unreduced and grouped by denominator, so that
     equal denominators just add their numerators; the groups are then merged
     over the lcm of their denominators, found through their gcds, and the sum
-    is reduced by a single ``ratfunc_normalize``."""
+    is reduced by a single ``ratfunc_normalize``.  A factor over another
+    variable tuple raises ``UnknownVariable``, as ``*`` does."""
+    vars = tuple(vars)
+    both = (vars, vars)
     groups: dict[MPoly, dict] = {}
     for a, b in pairs:
+        if (a.num.vars, b.num.vars) != both:
+            raise UnknownVariable("operands are over different variable tuples")
         if a.is_zero() or b.is_zero():
             continue
         if a.den._is_one():

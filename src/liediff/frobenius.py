@@ -187,13 +187,12 @@ def change_basis_check(
           = sum_m beta[l,k,m] A[m][j]
 
     An empty report means the relation holds, and it then persists in every
-    extension of the presentation's field.
+    extension of the presentation's field.  A beta of the wrong dimension
+    or over other variables is rejected by ``first_order_brackets``.
     """
     n = p.n
     if len(A) != n or any(len(row) != n for row in A):
         raise ArityMismatch(f"basis matrix must be {n}x{n}")
-    if beta.n != n:
-        raise ArityMismatch("target structure constants have the wrong dimension")
     residuals = first_order_brackets(A, p, beta)
     out = []
     for l in range(1, n + 1):

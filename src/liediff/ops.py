@@ -45,7 +45,7 @@ from .errors import (
     UnknownVariable,
 )
 from .field import RatFunc, SparseSum, _add_to, derive, format_sum, lincomb
-from .lie import Presentation, StructureConstants
+from .lie import Presentation, StructureConstants, validate_antisymmetry
 
 #: A factor of a composition term: a derivation index (1-based) or a coefficient.
 Factor = Union[int, RatFunc]
@@ -404,14 +404,29 @@ def first_order_brackets(rows, p: Presentation, beta: StructureConstants | None 
     ``out[l][k][j]`` also subtracts sum_m beta[l,k,m] rows[m][j]: the
     residual of the bracket law [U_l, U_k] = sum_m beta[l,k,m] U_m.
 
-    Every D_i(rows[k][j]) is derived once, and every entry is one sum of
-    products (``lincomb``), normalized once.  Antisymmetry is not assumed:
-    each ordered pair (l, k) is computed from the formula, so alpha need not
-    be antisymmetric.
+    Every D_i(rows[k][j]) is derived once, and every computed entry is one
+    sum of products (``lincomb``), normalized once.  When alpha, and beta if
+    given, are antisymmetric (``validate_antisymmetry`` reports nothing), so
+    is the table: each unordered pair l < k is computed once, ``out[k][l]``
+    is its negation and the diagonal is zero.  Otherwise every ordered pair
+    (l, k) is computed from the formula.
     """
-    ls = range(len(rows))
-    flat = _brackets(rows, [(l, k) for l in ls for k in ls], p, beta)
-    return [flat[l * len(rows) : (l + 1) * len(rows)] for l in ls]
+    n = len(rows)
+    if beta is not None:
+        if beta.n != n:
+            raise ArityMismatch("target structure constants have the wrong dimension")
+        if beta.vars != p.vars:
+            raise UnknownVariable("target structure constants over a different variable tuple")
+    if validate_antisymmetry(p.alpha) or (beta is not None and validate_antisymmetry(beta)):
+        flat = _brackets(rows, [(l, k) for l in range(n) for k in range(n)], p, beta)
+        return [flat[l * n : (l + 1) * n] for l in range(n)]
+    pairs = [(l, k) for l in range(n) for k in range(l + 1, n)]
+    zero = RatFunc.zero(p.vars)
+    out = [[[zero] * p.n for _ in range(n)] for _ in range(n)]
+    for (l, k), b in zip(pairs, _brackets(rows, pairs, p, beta)):
+        out[l][k] = b
+        out[k][l] = [-c for c in b]
+    return out
 
 
 def first_order_commutator(u, v, p: Presentation):

@@ -21,6 +21,7 @@ from liediff import (
     ZeroDenominator,
     coordinate_delta,
     derive,
+    lincomb,
     mpoly_gcd,
     parse_field_expr,
     ratfunc_arith,
@@ -305,6 +306,22 @@ class TestDerivationAction:
             "DerivationAction(name='D', vars=('x', 'y'), "
             "images=(RatFunc(1/x), RatFunc(y/(x + 1))))"
         )
+
+
+class TestLincomb:
+    def test_foreign_factor_rejected(self):
+        # as with *, a factor over another variable tuple is an error, not a
+        # factor whose extra variables are dropped
+        a = rf("x + 1")
+        z = parse_field_expr("z", ("x", "y", "z"))
+        with pytest.raises(UnknownVariable):
+            a * z
+        for pairs in ([(a, z)], [(z, a)], [(a, a), (rf("0"), z)]):
+            with pytest.raises(UnknownVariable):
+                lincomb(pairs, VARS)
+
+    def test_variables_as_list(self):
+        assert lincomb([(rf("x"), rf("1/y"))], list(VARS)) == rf("x/y")
 
 
 class TestUnitDenominator:

@@ -10,6 +10,7 @@ from liediff import (
     Presentation,
     RatFunc,
     StructureConstants,
+    UnknownVariable,
     apply_first_order,
     axiom2_witness_check,
     change_basis_check,
@@ -243,6 +244,29 @@ class TestChangeBasisCheck:
         with pytest.raises(ArityMismatch):
             change_basis_check([[rf("1", p1)]], StructureConstants.zero(2, p1.vars), p1)
 
+    def test_beta_dimension_checked(self, p1):
+        A = matrix(p1, [["1", "0"], ["0", "1"]])
+        for beta in (StructureConstants.zero(3, p1.vars), StructureConstants.zero(1, p1.vars)):
+            with pytest.raises(ArityMismatch):
+                change_basis_check(A, beta, p1)
+            with pytest.raises(ArityMismatch):
+                ops.first_order_brackets(A, p1, beta)
+
+    def test_foreign_beta_rejected(self, p1):
+        # z in [D1, D2] = z*D1 over (x, y, z) is not a constant of Q(x, y);
+        # reading it as 1 would pass the identity basis of p1
+        A = matrix(p1, [["1", "0"], ["0", "1"]])
+        xyz = ("x", "y", "z")
+        z = parse_field_expr("z", xyz)
+        for beta in (
+            StructureConstants.from_entries(2, xyz, {(1, 2, 1): z, (2, 1, 1): -z}),
+            StructureConstants.zero(2, xyz),
+        ):
+            with pytest.raises(UnknownVariable):
+                change_basis_check(A, beta, p1)
+            with pytest.raises(UnknownVariable):
+                ops.first_order_brackets(A, p1, beta)
+
     @pytest.mark.parametrize("fixture", ["p1", "p_nc"])
     def test_consistent_with_first_order_commutator(self, fixture, request):
         # independent route: compare the closed-form bracket of the rows with
@@ -319,6 +343,29 @@ class TestFirstOrderBrackets:
         assert commuting_check(A, p_heis) == []
         assert len(calls) == 27  # n^3 for n = 3: D_i of every entry A[k][j]
 
+    def test_one_lincomb_per_unordered_pair(self, p_heis, monkeypatch):
+        # antisymmetric alpha and beta: the 3 pairs l < k times n = 3
+        # coefficients are summed, the other 18 entries are mirrored or zero;
+        # every entry of A is still derived once by each D_i
+        rng = random.Random(88)
+        A = [[rand_ratfunc(rng, p_heis.vars, 1) for _ in range(3)] for _ in range(3)]
+        calls = {"derive": 0, "lincomb": 0}
+
+        def counting(name):
+            real = getattr(ops, name)
+
+            def count(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return count
+
+        for name in calls:
+            monkeypatch.setattr(ops, name, counting(name))
+        report = change_basis_check(A, p_heis.alpha, p_heis)
+        assert calls == {"derive": 27, "lincomb": 9}
+        assert [str(v) for v in report] == _per_pair_report(A, p_heis.alpha, p_heis)
+
     @pytest.mark.parametrize("fixture", ["p1", "p_nc", "p_heis"])
     def test_report_matches_per_pair_reference(self, fixture, request):
         pres = request.getfixturevalue(fixture)
@@ -343,8 +390,11 @@ class TestFirstOrderBrackets:
             assert any(v.startswith("(l,k,j)=(1,1,") for v in got)
 
     def test_commutator_computes_only_its_entry(self, p_heis, monkeypatch):
+        # with antisymmetric constants a table of k rows computes k(k-1)/2
+        # brackets, so three rows (three pairs) are needed to see that the
+        # commutator computes fewer products than a whole table
         rng = random.Random(87)
-        u, v = [[rand_ratfunc(rng, p_heis.vars, 1) for _ in range(3)] for _ in range(2)]
+        u, v, w = [[rand_ratfunc(rng, p_heis.vars, 1) for _ in range(3)] for _ in range(3)]
         calls = []
         mul = RatFunc.__mul__
 
@@ -355,7 +405,7 @@ class TestFirstOrderBrackets:
         monkeypatch.setattr(RatFunc, "__mul__", counting)
         got = first_order_commutator(u, v, p_heis)
         one = len(calls)
-        table = ops.first_order_brackets([u, v], p_heis)
+        table = ops.first_order_brackets([u, v, w], p_heis)
         assert got == table[0][1]
         assert one < len(calls) - one
 

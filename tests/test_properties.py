@@ -4,7 +4,9 @@ words, the polynomial kernel keeps its integer-coefficient invariant, the
 heuristic gcd agrees with the pseudo-remainder reference, the field
 arithmetic and derivations obey their axioms on three-variable fractions, and
 derivation over one common denominator and the one-normalization sum of
-products agree with their pairwise references."""
+products agree with their pairwise references, and the bracket table
+computed once per unordered pair agrees with every ordered pair computed
+from the formula."""
 
 from fractions import Fraction
 from unittest import mock
@@ -20,6 +22,7 @@ from liediff import (  # noqa: E402
     MPoly,
     OpWord,
     RatFunc,
+    StructureConstants,
     derive,
     divexact,
     lincomb,
@@ -29,7 +32,9 @@ from liediff import (  # noqa: E402
     parse_operator_expr,
     ratfunc_normalize,
     rewrite_normalize,
+    validate_antisymmetry,
 )
+from liediff import ops  # noqa: E402
 
 
 def coefficients(vars):
@@ -394,3 +399,128 @@ def test_lincomb_equals_pairwise_sum(data):
     if pairs:
         a, b = pairs[0]
         assert lincomb(pairs + [(-a, b)], XYZ) == ref - a * b
+
+
+# -- bracket tables: one computation per unordered pair against every pair ---
+
+
+def _antisymmetric(n, vars, data):
+    """A random antisymmetric table over n rows: entries drawn for k < l and
+    mirrored with the opposite sign; the diagonal stays zero."""
+    entries = {}
+    for k in range(1, n + 1):
+        for l in range(k + 1, n + 1):
+            for m in range(1, n + 1):
+                if data.draw(st.booleans()):
+                    c = data.draw(coefficients(vars))
+                    entries[(k, l, m)], entries[(l, k, m)] = c, -c
+    return StructureConstants.from_entries(n, vars, entries)
+
+
+def _table_and_pairs(rows, pres, beta):
+    # first_order_brackets, and the pairs it handed to _brackets
+    seen = []
+    real = ops._brackets
+
+    def recording(rows, pairs, p, beta=None):
+        seen.extend(pairs)
+        return real(rows, pairs, p, beta)
+
+    with mock.patch.object(ops, "_brackets", recording):
+        table = ops.first_order_brackets(rows, pres, beta)
+    return table, seen
+
+
+def _equals_every_ordered_pair(rows, pres, beta):
+    n = len(rows)
+    ordered = [(l, k) for l in range(n) for k in range(n)]
+    ref = ops._brackets(rows, ordered, pres, beta)
+    table, seen = _table_and_pairs(rows, pres, beta)
+    assert [table[l][k] for l, k in ordered] == ref
+    assert [[str(c) for c in table[l][k]] for l, k in ordered] == [
+        [str(c) for c in b] for b in ref
+    ]
+    return seen
+
+
+def _brackets_agree(pres, data):
+    n = data.draw(st.integers(2, 4))
+    entry = polys(pres.vars, max_deg=1).map(RatFunc.from_poly) | ratfuncs(pres.vars)
+    rows = [[data.draw(entry) for _ in range(pres.n)] for _ in range(n)]
+    betas = [None, StructureConstants.zero(n, pres.vars), _antisymmetric(n, pres.vars, data)]
+    if n == pres.n:
+        betas.append(pres.alpha)
+    for beta in betas:
+        seen = _equals_every_ordered_pair(rows, pres, beta)
+        assert seen == [(l, k) for l in range(n) for k in range(l + 1, n)]
+
+
+BRACKETS = settings(max_examples=20, deadline=None)
+
+
+@BRACKETS
+@given(data=st.data())
+def test_pairwise_brackets_equal_ordered_p1(p1, data):
+    _brackets_agree(p1, data)
+
+
+@BRACKETS
+@given(data=st.data())
+def test_pairwise_brackets_equal_ordered_nonconstant_alpha(p_nc, data):
+    _brackets_agree(p_nc, data)
+
+
+@BRACKETS
+@given(data=st.data())
+def test_pairwise_brackets_equal_ordered_heisenberg(p_heis, data):
+    _brackets_agree(p_heis, data)
+
+
+@BRACKETS
+@given(data=st.data(), defect=st.sampled_from(["diagonal", "no mirror", "same sign"]))
+def test_non_antisymmetric_beta_takes_every_ordered_pair(p_nc, data, defect):
+    # one defect in an otherwise antisymmetric beta sends the table down the
+    # reference path: every ordered pair computed from the formula
+    n = data.draw(st.integers(2, 3))
+    rows = [[data.draw(ratfuncs(p_nc.vars)) for _ in range(p_nc.n)] for _ in range(n)]
+    entries = dict(_antisymmetric(n, p_nc.vars, data).entries)
+    c = data.draw(coefficients(p_nc.vars))
+    k, m = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+    l = data.draw(st.integers(1, n).filter(lambda l: l != k))
+    if defect == "diagonal":
+        entries[(k, k, m)] = c
+    elif defect == "no mirror":
+        entries[(k, l, m)] = c
+        entries.pop((l, k, m), None)
+    else:
+        entries[(k, l, m)] = entries[(l, k, m)] = c
+    beta = StructureConstants.from_entries(n, p_nc.vars, entries)
+    assert validate_antisymmetry(beta)
+    seen = _equals_every_ordered_pair(rows, p_nc, beta)
+    assert seen == [(l, k) for l in range(n) for k in range(n)]
+
+
+def _antisymmetry_reference(alpha):
+    # the definition site by site: every k <= l and every m, sums in RatFunc
+    # arithmetic
+    out = []
+    for k in range(1, alpha.n + 1):
+        for l in range(k, alpha.n + 1):
+            for m in range(1, alpha.n + 1):
+                s = alpha.get(k, l, m) + alpha.get(l, k, m)
+                if not s.is_zero():
+                    out.append((f"antisymmetry at (k,l,m)=({k},{l},{m})", s))
+    return out
+
+
+@BRACKETS
+@given(data=st.data())
+def test_antisymmetry_report_equals_sitewise_sums(p_nc, data):
+    n = data.draw(st.integers(1, 3))
+    entries = dict(_antisymmetric(n, p_nc.vars, data).entries)
+    sites = st.tuples(*[st.integers(1, n)] * 3)
+    for site in data.draw(st.lists(sites, max_size=3)):
+        entries[site] = data.draw(coefficients(p_nc.vars))
+    alpha = StructureConstants.from_entries(n, p_nc.vars, entries)
+    got = [(v.where, v.residual) for v in validate_antisymmetry(alpha)]
+    assert got == _antisymmetry_reference(alpha)
