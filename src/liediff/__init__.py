@@ -18,7 +18,6 @@ from .errors import (
     IoError,
     LieDiffError,
     NegativeExponent,
-    NoCoordinateSubset,
     NonConstantStructureConstants,
     NotConstant,
     NotIndependent,
@@ -34,14 +33,12 @@ from .errors import (
 from .field import (
     DerivationAction,
     MPoly,
-    Rational,
     RatFunc,
     coordinate_delta,
     derive,
     divexact,
     lincomb,
     mpoly_gcd,
-    ratfunc_arith,
     ratfunc_normalize,
 )
 from .frobenius import (
@@ -80,7 +77,6 @@ from .ops import (
     first_order_brackets,
     first_order_commutator,
     normalize,
-    op_add,
     op_commutator,
     op_mul,
     rewrite_normalize,

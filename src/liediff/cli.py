@@ -58,9 +58,9 @@ def _alpha_from_entries(n: int, vars, items) -> StructureConstants:
         if not isinstance(ent, dict) or not {"k", "l", "m", "value"} <= set(ent):
             raise SchemaError(f"bad structure-constant entry {ent!r}")
         k, l, m = ent["k"], ent["l"], ent["m"]
-        for idx in (k, l, m):
-            if type(idx) is not int or not 1 <= idx <= n:
-                raise SchemaError(f"structure-constant index {idx} not in 1..{n}")
+        # StructureConstants checks the range 1..n
+        if any(type(idx) is not int for idx in (k, l, m)):
+            raise SchemaError(f"structure-constant indices of {ent!r} must be integers")
         if (k, l, m) in given:
             raise SchemaError(f"duplicate structure-constant entry ({k},{l},{m})")
         given[(k, l, m)] = parse_field_expr(str(ent["value"]), vars)
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     sp = sub.add_parser("validate", help="validate a presentation")
-    sp.add_argument("-p", "--presentation", required=True)
+    sp.add_argument("-p", "--presentation", required=True, help="presentation JSON file")
     sp.set_defaults(func=cmd_validate, no_validate=True)
 
     sp = sub.add_parser("normalize", help="normal-order an operator expression")

@@ -64,10 +64,6 @@ class NotIndependent(LieDiffError):
     """The derivations of the presentation are linearly dependent."""
 
 
-class NoCoordinateSubset(LieDiffError):
-    """No subset of declared variables gives an invertible evaluation matrix."""
-
-
 class CommutationFailure(LieDiffError):
     """The constructed basis failed the commutation verification."""
 

@@ -35,10 +35,6 @@ from .errors import (
     ZeroDenominator,
 )
 
-#: Exact rational numbers; numerator/denominator are arbitrary-precision,
-#: always reduced, denominator positive.
-Rational = Fraction
-
 
 def _grlex(e: tuple[int, ...]):
     # graded lexicographic key, variables in declaration order
@@ -827,17 +823,11 @@ def ratfunc_normalize(num: MPoly, den: MPoly) -> RatFunc:
     return _canonical_scale(divexact(num, g), divexact(den, g))
 
 
-def ratfunc_arith(op: str, f: RatFunc, g: RatFunc) -> RatFunc:
-    """Named-operation entry point over the four field operations."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "div":
-        return f / g
-    raise ValueError(f"unknown operation '{op}'")
+def common_denominator(xs: Sequence[RatFunc], vars) -> tuple[list[MPoly], MPoly]:
+    """(nums, den) with den the lcm of the denominators of xs, a unit when xs
+    is empty, and xs[j] = nums[j] / den."""
+    den = reduce(_poly_lcm, (x.den for x in xs), _unit(vars))
+    return [x.num if x.den == den else x.num * divexact(den, x.den) for x in xs], den
 
 
 @dataclass(frozen=True)
@@ -864,13 +854,9 @@ class DerivationAction:
             raise UnknownVariable(
                 f"an image of derivation {self.name} is over other variables"
             )
-        den = reduce(_poly_lcm, (im.den for im in self.images), _unit(self.vars))
-        nums = tuple(
-            im.num if im.den == den else im.num * divexact(den, im.den)
-            for im in self.images
-        )
+        nums, den = common_denominator(self.images, self.vars)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "nums", tuple(nums))
 
 
 def derive(action: DerivationAction, f: RatFunc) -> RatFunc:

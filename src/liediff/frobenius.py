@@ -13,7 +13,6 @@ vectors and the commuting basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import (
     ArityMismatch,
@@ -26,7 +25,7 @@ from .field import (
     DerivationAction,
     MPoly,
     RatFunc,
-    _poly_lcm,
+    common_denominator,
     divexact,
     ratfunc_normalize,
 )
@@ -41,11 +40,8 @@ def _eliminate(mat: Matrix, full: bool) -> tuple[list[list[MPoly]], list[int], M
     last pivot d).  Row r of the result holds the pivot of the r-th pivot
     column.  The forward pass (``full`` false) clears below each pivot; the
     full pass clears above it too, and leaves every pivot entry equal to d."""
-    rows = []
-    for row in mat:
-        # the row times the lcm of its denominators
-        scale = reduce(_poly_lcm, (ent.den for ent in row))
-        rows.append([ent.num * divexact(scale, ent.den) for ent in row])
+    # each row times the lcm of its denominators
+    rows = [common_denominator(row, row[0].vars)[0] for row in mat]
     nr, nc = len(rows), len(rows[0])
     prev = MPoly.const(rows[0][0].vars, 1)
     pivots: list[int] = []

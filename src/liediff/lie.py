@@ -12,17 +12,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import ArityMismatch, NonConstantStructureConstants, Violation
+from .errors import ArityMismatch, NonConstantStructureConstants, UnknownDerivation, Violation
 from .field import DerivationAction, RatFunc, derive, lincomb
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class StructureConstants:
-    """The n^3 table alpha[k,l,m] of field elements, stored sparsely."""
+    """The n^3 table alpha[k,l,m] of field elements, stored sparsely: every
+    index lies in 1..n, and zero values are dropped on construction."""
 
     n: int
     vars: tuple[str, ...]
     entries: dict
+
+    def __post_init__(self):
+        for key in self.entries:
+            if not all(1 <= i <= self.n for i in key):
+                raise UnknownDerivation(f"structure-constant index {key} not in 1..{self.n}")
+        object.__setattr__(
+            self, "entries", {key: v for key, v in self.entries.items() if not v.is_zero()}
+        )
 
     @classmethod
     def zero(cls, n: int, vars) -> "StructureConstants":
@@ -30,12 +39,7 @@ class StructureConstants:
 
     @classmethod
     def from_entries(cls, n: int, vars, items) -> "StructureConstants":
-        vars = tuple(vars)
-        entries = {}
-        for (k, l, m), value in dict(items).items():
-            if not value.is_zero():
-                entries[(k, l, m)] = value
-        return cls(n, vars, entries)
+        return cls(n, tuple(vars), dict(items))
 
     def get(self, k: int, l: int, m: int) -> RatFunc:
         v = self.entries.get((k, l, m))
@@ -52,14 +56,6 @@ class StructureConstants:
     def is_constant(self) -> bool:
         return all(v.is_const() for v in self.entries.values())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StructureConstants):
-            return NotImplemented
-        if self.n != other.n or self.vars != other.vars:
-            return False
-        keys = set(self.entries) | set(other.entries)
-        return all(self.get(*k) == other.get(*k) for k in keys)
-
 
 @dataclass(frozen=True, eq=False)
 class Presentation:
@@ -74,6 +70,8 @@ class Presentation:
         return len(self.derivations)
 
     def derivation(self, k: int) -> DerivationAction:
+        if not 1 <= k <= self.n:
+            raise UnknownDerivation(f"derivation index {k} not in 1..{self.n}")
         return self.derivations[k - 1]
 
 

@@ -23,7 +23,6 @@ from .errors import (
     NegativeExponent,
     TruncationExceeded,
     UnboundSlot,
-    UnknownDerivation,
 )
 from .field import RatFunc, SparseSum, _add_to, derive, format_sum
 from .lie import Presentation
@@ -150,8 +149,7 @@ def _linear(p: Presentation, T: dict) -> NormalPoly:
 def x_action(i: int, I, p: Presentation) -> NormalPoly:
     """Image of the variable X_I under D_i: the normal form T(i, I) of
     D_i * D^I, read back as a linear normal polynomial."""
-    if not 1 <= i <= p.n:
-        raise UnknownDerivation(f"derivation index {i} not in 1..{p.n}")
+    p.derivation(i)  # UnknownDerivation outside 1..n
     I = tuple(I)
     if len(I) != p.n:
         raise ArityMismatch(f"multi-index {I} has arity != {p.n}")
@@ -167,8 +165,6 @@ def derive_normal(i: int, q: NormalPoly, p: Presentation) -> NormalPoly:
 
 def _derive_with(i: int, q: NormalPoly, p: Presentation, on_x) -> NormalPoly:
     # D_i derives the coefficients in the base field and sends X_I to on_x(I)
-    if not 1 <= i <= p.n:
-        raise UnknownDerivation(f"derivation index {i} not in 1..{p.n}")
     action = p.derivation(i)
     t: dict = {}
     for m, c in q.terms.items():
@@ -270,8 +266,7 @@ class TruncatedExtension:
         return indices_up_to(self.base.n, self.order)
 
     def action(self, i: int, I) -> NormalPoly:
-        if not 1 <= i <= self.base.n:
-            raise UnknownDerivation(f"derivation index {i} not in 1..{self.base.n}")
+        self.base.derivation(i)  # UnknownDerivation outside 1..n
         I = tuple(I)
         if sum(I) >= self.order:
             raise TruncationExceeded(

@@ -354,10 +354,6 @@ def rewrite_normalize(w: OpWord | NormalOperator, p: Presentation, strategy: str
     return NormalOperator(w.vars, w.n, acc)
 
 
-def op_add(a: NormalOperator, b: NormalOperator) -> NormalOperator:
-    return a + b
-
-
 def op_mul(a: NormalOperator, b: NormalOperator, p: Presentation) -> NormalOperator:
     """Normal form of the composition a after b: each term of a is folded
     onto the terms of b through one PBW table.  The cost grows with the
@@ -375,10 +371,9 @@ def op_commutator(a: NormalOperator, b: NormalOperator, p: Presentation) -> Norm
 
 def apply_operator(a: NormalOperator | OpWord, f: RatFunc, p: Presentation) -> RatFunc:
     """Apply an operator to a field element by repeated derivation."""
+    _check_word(a, p)
     if f.vars != p.vars:
         raise UnknownVariable("argument over a different variable tuple")
-    if a.n != p.n:
-        raise UnknownDerivation("operator arity differs from the presentation")
     out = RatFunc.zero(p.vars)
     for term in _words(a):
         g = f

@@ -120,7 +120,13 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "alpha", [5, None, [{"k": True, "l": 2, "m": 1, "value": "1"}]]
+        "alpha",
+        [
+            5,
+            None,
+            [{"k": True, "l": 2, "m": 1, "value": "1"}],
+            [{"k": 1, "l": 3, "m": 1, "value": "1"}],
+        ],
     )
     def test_malformed_alpha_is_input_error(self, capsys, tmp_path, alpha):
         obj = json.loads((DATA / "p1.json").read_text())

@@ -8,6 +8,7 @@ from liediff import (
     NonConstantStructureConstants,
     RatFunc,
     StructureConstants,
+    UnknownDerivation,
     check_presentation,
     derive,
     validate_antisymmetry,
@@ -85,6 +86,23 @@ class TestAntisymmetry:
         assert len(report) == 1
 
 
+class TestStructureConstants:
+    def test_index_outside_range_rejected(self):
+        one = RatFunc.const(("x", "y"), 1)
+        with pytest.raises(UnknownDerivation):
+            StructureConstants.from_entries(2, ("x", "y"), {(1, 3, 1): one})
+
+    def test_equality_ignores_zero_entries_and_order(self):
+        vars = ("x", "y")
+        one, zero = RatFunc.const(vars, 1), RatFunc.zero(vars)
+        a = StructureConstants(2, vars, {(1, 2, 1): one, (2, 1, 1): -one})
+        b = StructureConstants(2, vars, {(2, 1, 1): -one, (1, 2, 2): zero, (1, 2, 1): one})
+        assert a == b
+        assert StructureConstants.zero(2, vars) == StructureConstants(2, vars, {(1, 1, 1): zero})
+        assert a != StructureConstants(3, vars, dict(a.entries))
+        assert a != StructureConstants(2, ("x", "z"), dict(a.entries))
+
+
 class TestJacobi:
     def test_abelian_passes(self):
         assert validate_jacobi(const_table(3, {})) == []
@@ -123,6 +141,12 @@ class TestJacobi:
 
 
 class TestCheckPresentation:
+    @pytest.mark.parametrize("k", [0, -1, 3])
+    def test_derivation_index_checked(self, p1, k):
+        # not D_n through a negative index, not an IndexError
+        with pytest.raises(UnknownDerivation):
+            p1.derivation(k)
+
     def test_p1_passes(self, p1):
         assert check_presentation(p1) == []
 

@@ -11,6 +11,7 @@ from liediff import (
     RatFunc,
     TruncationExceeded,
     UnboundSlot,
+    UnknownDerivation,
     apply_operator,
     axiom1_instance_check,
     derive,
@@ -83,6 +84,21 @@ class TestDeriveNormal:
     def test_slot_cannot_be_differentiated(self, p1):
         with pytest.raises(UnboundSlot):
             derive_normal(1, np_("a1*X[0,0]", p1), p1)
+
+
+@pytest.mark.parametrize(
+    "act",
+    [
+        lambda i, p: x_action(i, (0, 0), p),
+        lambda i, p: derive_normal(i, NormalPoly.xvar(p.vars, p.n, (0, 0)), p),
+        lambda i, p: fresh_extension(p, 2).action(i, (0, 0)),
+    ],
+    ids=["x_action", "derive_normal", "extension_action"],
+)
+@pytest.mark.parametrize("i", [0, 3])
+def test_derivation_index_checked(p1, act, i):
+    with pytest.raises(UnknownDerivation):
+        act(i, p1)
 
 
 class TestXAction:

@@ -14,14 +14,13 @@ from liediff import (
     apply_operator,
     first_order_commutator,
     normalize,
-    op_add,
     op_commutator,
     op_mul,
     parse_field_expr,
     parse_operator_expr,
     rewrite_normalize,
 )
-from conftest import rand_poly, rand_word, word
+from conftest import make_presentation, rand_poly, rand_word, word
 
 
 def rf(text, pres):
@@ -158,14 +157,14 @@ class TestExpressionPowers:
 class TestOpAdd:
     def test_zero_identity(self, p1):
         a = mono(p1, (1, 0), "x")
-        assert op_add(a, NormalOperator.zero(p1.vars, p1.n)) == a
+        assert a + NormalOperator.zero(p1.vars, p1.n) == a
 
     def test_cancellation(self, p1):
         a = mono(p1, (1, 0))
-        assert op_add(a, mono(p1, (1, 0), "-1")).is_zero()
+        assert (a + mono(p1, (1, 0), "-1")).is_zero()
 
     def test_disjoint_terms(self, p1):
-        s = op_add(mono(p1, (1, 0)), mono(p1, (0, 1)))
+        s = mono(p1, (1, 0)) + mono(p1, (0, 1))
         assert len(s.terms) == 2
 
     def test_normal_poly_operand_rejected(self):
@@ -211,9 +210,7 @@ class TestOpMul:
                 assert op_mul(op_mul(a, b, pres), c, pres) == op_mul(
                     a, op_mul(b, c, pres), pres
                 )
-                assert op_mul(a, op_add(b, c), pres) == op_add(
-                    op_mul(a, b, pres), op_mul(a, c, pres)
-                )
+                assert op_mul(a, b + c, pres) == op_mul(a, b, pres) + op_mul(a, c, pres)
 
 
 class TestApply:
@@ -229,6 +226,13 @@ class TestApply:
         gcd_calls.clear()
         assert apply_operator(NormalOperator.identity(p1.vars, p1.n), f, p1) == f
         assert gcd_calls == []
+
+    def test_operator_variables_checked(self, p1):
+        # an operator over (u, v) has no meaning over p1's (x, y)
+        p_uv = make_presentation(("u", "v"), [("1", "0"), ("0", "1")], {})
+        op = parse_operator_expr("D1*D2", p_uv)
+        with pytest.raises(UnknownVariable):
+            apply_operator(op, rf("x^2*y", p1), p1)
 
     def test_zero_operator(self, p1):
         got = apply_operator(NormalOperator.zero(p1.vars, p1.n), rf("x^2", p1), p1)
