@@ -14,6 +14,7 @@ from .errors import (
     DivisionByZero,
     ExprSyntaxError,
     IndexOutOfRange,
+    InvalidMultiIndex,
     InvariantBroken,
     IoError,
     LieDiffError,

@@ -33,6 +33,10 @@ class ArityMismatch(LieDiffError):
     """A vector, matrix or multi-index has the wrong number of entries."""
 
 
+class InvalidMultiIndex(LieDiffError):
+    """A multi-index has an entry that is not a nonnegative int."""
+
+
 class NegativeExponent(LieDiffError):
     """A polynomial or normal polynomial was raised to a negative power;
     only field elements have inverses."""

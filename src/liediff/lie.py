@@ -9,7 +9,7 @@ for the whole field because both sides are derivations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import ArityMismatch, NonConstantStructureConstants, UnknownDerivation, Violation
@@ -59,11 +59,15 @@ class StructureConstants:
 
 @dataclass(frozen=True, eq=False)
 class Presentation:
-    """A base field Q(vars) with n derivation actions and structure constants."""
+    """A base field Q(vars) with n derivation actions and structure constants.
+    ``_pbw`` holds the entries of ``ops.PBWTable`` over it, which every call
+    shares; it is left out of the constructor, the repr and
+    ``dataclasses.replace``, which starts with an empty table."""
 
     vars: tuple[str, ...]
     derivations: tuple[DerivationAction, ...]
     alpha: StructureConstants
+    _pbw: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:

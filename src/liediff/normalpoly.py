@@ -26,7 +26,7 @@ from .errors import (
 )
 from .field import RatFunc, SparseSum, _add_to, derive, format_sum
 from .lie import Presentation
-from .ops import PBWTable, _times
+from .ops import PBWTable, _multi_index, _times
 
 # A generator is a multi-index (tuple of ints) for X_I or a string for a slot.
 
@@ -68,8 +68,8 @@ class NormalPoly(SparseSum):
         for m, c in terms.items():
             m = tuple(sorted(((g, e) for g, e in m if e), key=lambda ge: _genkey(ge[0])))
             for g, _ in m:
-                if not isinstance(g, str) and len(g) != n:
-                    raise ArityMismatch(f"multi-index {g} has arity != {n}")
+                if not isinstance(g, str):
+                    _multi_index(g, n)
             if not c.is_zero():
                 _add_to(clean, m, c)
         self.terms = clean
@@ -150,15 +150,13 @@ def x_action(i: int, I, p: Presentation) -> NormalPoly:
     """Image of the variable X_I under D_i: the normal form T(i, I) of
     D_i * D^I, read back as a linear normal polynomial."""
     p.derivation(i)  # UnknownDerivation outside 1..n
-    I = tuple(I)
-    if len(I) != p.n:
-        raise ArityMismatch(f"multi-index {I} has arity != {p.n}")
-    return _linear(p, PBWTable(p).entry(i, I))
+    return _linear(p, PBWTable(p).entry(i, _multi_index(I, p.n)))
 
 
 def derive_normal(i: int, q: NormalPoly, p: Presentation) -> NormalPoly:
     """Extend the derivation D_i to normal polynomials: derive coefficients,
-    act on the X_I through one PBW table, and apply Leibniz."""
+    act on the X_I through the PBW table of the presentation, and apply
+    Leibniz."""
     table = PBWTable(p)
     return _derive_with(i, q, p, lambda I: _linear(p, table.entry(i, I)))
 
@@ -267,7 +265,7 @@ class TruncatedExtension:
 
     def action(self, i: int, I) -> NormalPoly:
         self.base.derivation(i)  # UnknownDerivation outside 1..n
-        I = tuple(I)
+        I = _multi_index(I, self.base.n)
         if sum(I) >= self.order:
             raise TruncationExceeded(
                 f"D_{i}(X{list(I)}) needs order {sum(I) + 1} > bound {self.order}"

@@ -16,8 +16,9 @@ D_k * D^I.  With l the first index such that I_l > 0,
   T(k, I) = D^(I + e_k)                                             (k <= l)
   T(k, I) = D_l * T(k, I - e_l) + sum_m alpha[k,l,m] * T(m, I - e_l)  (k > l)
 
-The entries are filled on demand, without recursion, into a table that
-lives for one call (``PBWTable``), so nothing is shared between calls.
+The entries depend on the presentation alone.  They are filled on demand,
+without recursion, into one table per presentation (``PBWTable``), which
+every call over that presentation shares.
 
 ``rewrite_normalize`` is the reference engine the tests compare against.
 It rewrites redexes with two rules:
@@ -40,6 +41,7 @@ from typing import Iterable, Union
 
 from .errors import (
     ArityMismatch,
+    InvalidMultiIndex,
     InvariantBroken,
     UnknownDerivation,
     UnknownVariable,
@@ -49,6 +51,19 @@ from .lie import Presentation, StructureConstants, validate_antisymmetry
 
 #: A factor of a composition term: a derivation index (1-based) or a coefficient.
 Factor = Union[int, RatFunc]
+
+
+def _multi_index(I, n: int) -> tuple:
+    """I as a tuple, checked to be a multi-index of arity n: n nonnegative
+    ints.  Every key of a normal operator or normal polynomial, and every
+    key that reaches a presentation's PBW table, passes this check."""
+    I = tuple(I)
+    if len(I) != n:
+        raise ArityMismatch(f"multi-index {I} has arity != {n}")
+    for e in I:
+        if type(e) is not int or e < 0:
+            raise InvalidMultiIndex(f"multi-index {I} has an entry that is not a nonnegative int")
+    return I
 
 
 def _check_factors(term, vars, n) -> tuple:
@@ -90,9 +105,7 @@ class NormalOperator(SparseSum):
         self.n = n
         clean = {}
         for I, c in terms.items():
-            I = tuple(I)
-            if len(I) != n:
-                raise ArityMismatch(f"multi-index {I} has arity != {n}")
+            I = _multi_index(I, n)
             if not c.is_zero():
                 clean[I] = c
         self.terms = clean
@@ -108,6 +121,8 @@ class NormalOperator(SparseSum):
 
     @classmethod
     def first_order(cls, coeffs, n: int) -> "NormalOperator":
+        if len(coeffs) != n:
+            raise ArityMismatch("coefficient vector arity differs from n")
         vars = coeffs[0].vars
         terms = {}
         for i, c in enumerate(coeffs):
@@ -225,15 +240,23 @@ def _shift(I: tuple, k: int, d: int) -> tuple:
 
 class PBWTable:
     """Normal forms T(k, I) of D_k * D^I over one presentation, as dicts
-    multi-index -> coefficient, filled on demand.  A table belongs to one
-    call; ``len(table.entries)`` is the number of entries computed."""
+    multi-index -> coefficient, filled on demand into the presentation's own
+    dict, so that every table over p shares the entries computed so far.
+    ``added`` counts the entries this table object computed.
 
-    __slots__ = ("p", "one", "entries")
+    Sharing is thread-safe without a lock: an entry is published only once
+    it is complete, and it is never mutated, replaced or evicted afterwards.
+    Two threads that race on one key compute equal values, and the first to
+    publish wins.  Callers pass only checked keys (``_multi_index``, and
+    derivation indices in 1..n)."""
+
+    __slots__ = ("p", "one", "entries", "added")
 
     def __init__(self, p: Presentation):
         self.p = p
         self.one = RatFunc.const(p.vars, 1)
-        self.entries: dict = {}
+        self.entries: dict = p._pbw
+        self.added = 0
 
     def entry(self, k: int, I: tuple) -> dict:
         """T(k, I), filling the entries it depends on first with an explicit
@@ -250,7 +273,8 @@ class PBWTable:
             # l is the first derivation in D^I; D_k * 1 is trivial too
             l = next((j + 1 for j, e in enumerate(I) if e), k)
             if k <= l:
-                entries[key] = {_shift(I, k, 1): self.one}
+                entries.setdefault(key, {_shift(I, k, 1): self.one})
+                self.added += 1
                 todo.pop()
                 continue
             rest = _shift(I, l, -1)
@@ -267,7 +291,8 @@ class PBWTable:
             for m, c in brackets:
                 for J, t in entries[(m, rest)].items():
                     _add_to(out, J, _times(c, t))
-            entries[key] = out
+            entries.setdefault(key, out)
+            self.added += 1
         return entries[want]
 
     def left_mul(self, k: int, a: dict) -> dict:
@@ -307,18 +332,19 @@ class PBWTable:
 
 def normalize(w: OpWord | NormalOperator, p: Presentation, strategy: str = "leftmost", stats: dict | None = None) -> NormalOperator:
     """Normal-ordered form of a word, or of a normal operator read as the
-    words c * D^I of its terms, by left multiplication through a per-call PBW
-    table.
+    words c * D^I of its terms, by left multiplication through the PBW table
+    of the presentation.
 
     ``strategy`` is validated for compatibility with ``rewrite_normalize`` but
     selects nothing here.  ``stats``, when given, receives the number of table
-    entries computed under the key "steps".
+    entries this call added under the key "steps": 0 when every entry it
+    needed was already in the presentation's table.
     """
     _check_word(w, p, strategy)
     table = PBWTable(p)
     out = table.mul(w, NormalOperator.identity(p.vars, p.n))
     if stats is not None:
-        stats["steps"] = len(table.entries)
+        stats["steps"] = table.added
     return out
 
 
@@ -356,7 +382,8 @@ def rewrite_normalize(w: OpWord | NormalOperator, p: Presentation, strategy: str
 
 def op_mul(a: NormalOperator, b: NormalOperator, p: Presentation) -> NormalOperator:
     """Normal form of the composition a after b: each term of a is folded
-    onto the terms of b through one PBW table.  The cost grows with the
+    onto the terms of b through the PBW table of the presentation, which
+    every call over p shares.  The cost grows with the
     derivation symbols in a's terms, each of which left-multiplies all of b,
     so the operand with fewer symbols should stand on the left where the
     order is free."""

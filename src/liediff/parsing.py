@@ -10,8 +10,8 @@ Shared grammar:
 
 Operator expressions extend the atom with derivation symbols D1, D2, ...
 and are evaluated in normal form as they are read: every value is a
-``NormalOperator``, '*' is noncommutative composition through one PBW table
-per expression and '^' repeats it.  Normal-polynomial expressions add
+``NormalOperator``, '*' is noncommutative composition through the PBW table
+of the presentation and '^' repeats it.  Normal-polynomial expressions add
 X[i1,...,in] atoms, and treat any identifier that is not a declared field
 variable as a placeholder slot.  '^' binds tighter than '*' and '/' (so 3/2^2
 is 3/4).  In the operator and normal-polynomial grammars the divisor must be
@@ -158,8 +158,8 @@ _DSYM = re.compile(r"^D(\d+)$")
 class _OperatorParser(_Parser):
     def __init__(self, text: str, vars: tuple[str, ...], pres: Presentation):
         super().__init__(text, vars, pres)
-        # one table for the whole expression, so that its products and the
-        # steps of a power share their entries
+        # the presentation's table: the products and the steps of a power
+        # share its entries with each other and with every other call
         self.table = PBWTable(pres)
 
     def const(self, c: RatFunc) -> NormalOperator:

@@ -1,9 +1,12 @@
+import dataclasses
 import random
+import threading
 
 import pytest
 
 from liediff import (
     ArityMismatch,
+    InvalidMultiIndex,
     NegativeExponent,
     NormalOperator,
     NormalPoly,
@@ -116,6 +119,40 @@ class TestXAction:
     def test_arity_checked(self, p1):
         with pytest.raises(ArityMismatch):
             x_action(1, (1,), p1)
+
+    def test_negative_index_fails_fast(self, p_nc):
+        # (-1, 2) once sent the table's fill loop into an endless descent;
+        # the check must reject it before the key reaches the table
+        pres = dataclasses.replace(p_nc)
+        raised = []
+
+        def act():
+            try:
+                x_action(2, (-1, 2), pres)
+            except InvalidMultiIndex as e:
+                raised.append(e)
+
+        t = threading.Thread(target=act, daemon=True)
+        t.start()
+        t.join(timeout=1.0)
+        assert not t.is_alive() and raised
+        assert pres._pbw == {}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda p, I: x_action(2, I, p),
+        lambda p, I: NormalPoly.xvar(p.vars, p.n, I),
+        lambda p, I: fresh_extension(p, 2).action(1, I),
+    ],
+    ids=["x_action", "xvar", "extension_action"],
+)
+@pytest.mark.parametrize("I", [(0, -1), (-1, 1), (0.5, 0), (True, 0)])
+def test_multi_index_entries_checked(p_nc, make, I):
+    # x_action(2, (0, -1)) once returned X[0,0]
+    with pytest.raises(InvalidMultiIndex):
+        make(p_nc, I)
 
 
 class TestPow:

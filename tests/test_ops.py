@@ -1,10 +1,14 @@
+import dataclasses
 import random
+import sys
+import threading
 import time
 
 import pytest
 
 from liediff import (
     ArityMismatch,
+    InvalidMultiIndex,
     NormalOperator,
     NormalPoly,
     OpWord,
@@ -13,6 +17,8 @@ from liediff import (
     UnknownVariable,
     apply_operator,
     first_order_commutator,
+    fresh_extension,
+    indices_up_to,
     normalize,
     op_commutator,
     op_mul,
@@ -20,6 +26,7 @@ from liediff import (
     parse_operator_expr,
     rewrite_normalize,
 )
+from liediff.normalpoly import x_action
 from conftest import make_presentation, rand_poly, rand_word, word
 
 
@@ -65,11 +72,14 @@ class TestNormalize:
             normalize(w, p1)
 
     def test_step_count_is_bounded(self, p_heis):
-        # fully inverted word with interleaved coefficients
-        z = rf("z", p_heis)
-        w = OpWord(p_heis.vars, 3, [(3, z, 2, z, 1)])
+        # fully inverted word with interleaved coefficients, on a copy of
+        # heis with a cold table, so that the count does not depend on the
+        # tests that ran before
+        pres = dataclasses.replace(p_heis)
+        z = rf("z", pres)
+        w = OpWord(pres.vars, 3, [(3, z, 2, z, 1)])
         stats = {}
-        got = normalize(w, p_heis, stats=stats)
+        got = normalize(w, pres, stats=stats)
         assert not got.is_zero()
         assert stats["steps"] <= 200
 
@@ -95,13 +105,14 @@ class TestLongWords:
         assert got == mono(p1, (1500, 1)) + mono(p1, (1500, 0), "-1500")
 
     def test_scaling_word_is_sound_and_fast(self, p1):
-        w = word(p1, (2, 1) * 10)
+        pres = dataclasses.replace(p1)  # a cold table: time every entry
+        w = word(pres, (2, 1) * 10)
         rng = random.Random(106)
-        polys = [RatFunc.from_poly(rand_poly(rng, p1.vars, 3)) for _ in range(20)]
+        polys = [RatFunc.from_poly(rand_poly(rng, pres.vars, 3)) for _ in range(20)]
         start = time.perf_counter()
-        nf = normalize(w, p1)
+        nf = normalize(w, pres)
         for f in polys:
-            assert apply_operator(nf, f, p1) == apply_operator(w, f, p1)
+            assert apply_operator(nf, f, pres) == apply_operator(w, f, pres)
         assert time.perf_counter() - start < 1.0
 
 
@@ -129,15 +140,17 @@ class TestNormalOperatorOperand:
 
 class TestExpressionPowers:
     def test_sum_power_matches_iterated_application(self, p1):
-        # (D1+D2)^30 expanded as words would have 2^30 terms
+        # (D1+D2)^30 expanded as words would have 2^30 terms; a cold table
+        # times every entry
+        pres = dataclasses.replace(p1)
         start = time.perf_counter()
-        got = parse_operator_expr("(D1+D2)^30", p1)
-        base = mono(p1, (1, 0)) + mono(p1, (0, 1))
-        for f in (rf("x^2*y + y", p1), rf("x^3 - 2*x*y^2", p1)):
+        got = parse_operator_expr("(D1+D2)^30", pres)
+        base = mono(pres, (1, 0)) + mono(pres, (0, 1))
+        for f in (rf("x^2*y + y", pres), rf("x^3 - 2*x*y^2", pres)):
             want = f
             for _ in range(30):
-                want = apply_operator(base, want, p1)
-            assert apply_operator(got, f, p1) == want
+                want = apply_operator(base, want, pres)
+            assert apply_operator(got, f, pres) == want
         assert time.perf_counter() - start < 10.0
 
     # the scaling series of the benchmark's reorder workload
@@ -152,6 +165,75 @@ class TestExpressionPowers:
     def test_series_equals_rewrite_of_word(self, request, name, text, term):
         pres = request.getfixturevalue(name)
         assert parse_operator_expr(text, pres) == rewrite_normalize(word(pres, term), pres)
+
+
+class TestNormalOperatorKeys:
+    @pytest.mark.parametrize("I", [(-1, 1), (0, -2), (1.0, 1), ("1", 0), (True, 0)])
+    def test_entries_must_be_nonnegative_ints(self, p1, I):
+        # (-1, 1) once printed as D1^-1*D2 and normalized silently to D2
+        with pytest.raises(InvalidMultiIndex):
+            NormalOperator(p1.vars, p1.n, {I: rf("1", p1)})
+
+    def test_arity_checked(self, p1):
+        with pytest.raises(ArityMismatch):
+            NormalOperator(p1.vars, p1.n, {(1, 0, 0): rf("1", p1)})
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_first_order_coefficient_count(self, p1, count):
+        # three coefficients over two derivations once gave x*D1 + y*D2 + 5
+        coeffs = [rf(t, p1) for t in ("x", "y", "5")][:count]
+        with pytest.raises(ArityMismatch):
+            NormalOperator.first_order(coeffs, 2)
+
+
+class TestSharedTable:
+    # every call over one presentation reads and fills its PBW table
+
+    def test_repeated_word_adds_no_entries(self, p_heis):
+        pres = dataclasses.replace(p_heis)
+        w = word(pres, (3, "z", 2, "z", 1), (2, 1, 3))
+        first, again = {}, {}
+        got = normalize(w, pres, stats=first)
+        assert first["steps"] == len(pres._pbw) > 0
+        assert normalize(w, pres, stats=again) == got
+        assert again["steps"] == 0
+        assert got == rewrite_normalize(w, pres)
+
+    def test_calls_share_the_table(self, p_nc):
+        # the parser, op_mul, fresh_extension and x_action over one
+        # presentation fill one table: a repeated call adds nothing
+        pres = dataclasses.replace(p_nc)
+        got = parse_operator_expr("(D2*D1)^3", pres)
+        size = len(pres._pbw)
+        assert parse_operator_expr("(D2*D1)^3", pres) == got
+        assert len(pres._pbw) == size
+        assert op_mul(got, got, pres) == normalize(word(pres, (2, 1) * 6), dataclasses.replace(p_nc))
+        ext = fresh_extension(pres, 3)
+        size = len(pres._pbw)
+        for (i, I), q in ext.actions.items():
+            assert x_action(i, I, pres) == q
+        assert len(pres._pbw) == size
+
+    def test_fresh_extension_adds_only_the_next_order(self, p_heis):
+        pres = dataclasses.replace(p_heis)
+        fresh_extension(pres, 2)
+        before = set(pres._pbw)
+        assert all(sum(I) <= 1 for _, I in before)
+        fresh_extension(pres, 3)
+        added = set(pres._pbw) - before
+        wanted = {(i, I) for i in range(1, 4) for I in indices_up_to(3, 2) if sum(I) == 2}
+        assert wanted <= added
+        assert all(sum(I) == 2 for _, I in added)
+
+    def test_replace_starts_an_empty_table(self, p1, p_abelian):
+        pres = dataclasses.replace(p1)
+        w = word(pres, (2, 1))
+        assert normalize(w, pres) == mono(pres, (1, 1)) + mono(pres, (1, 0), "-1")
+        assert pres._pbw and "_pbw" not in repr(pres)
+        # a table carried over from p1 would still add the bracket term
+        q = dataclasses.replace(pres, derivations=p_abelian.derivations, alpha=p_abelian.alpha)
+        assert q._pbw == {} and repr(q) == repr(p_abelian)
+        assert normalize(w, q) == mono(q, (1, 1))
 
 
 class TestOpAdd:
@@ -357,14 +439,45 @@ class TestSoundnessAndConfluence:
         _soundness_suite(p_heis, 104, words=15, polys=3)
 
 
-def test_shared_values_are_thread_safe(p1):
-    # immutable values and pure functions: concurrent normalization of the
-    # same words over the same presentation matches the serial results
+def _prefixed_words(rng, pres, count):
+    # words that share a prefix of derivation symbols, so that they need
+    # many of the same table entries
+    stem = tuple(rng.randint(1, pres.n) for _ in range(4))
+    tails = [rand_word(rng, pres, maxlen=3, max_terms=1).terms[0] for _ in range(count)]
+    return [OpWord(pres.vars, pres.n, [stem + tail, tail + stem[:2]]) for tail in tails]
+
+
+def test_shared_values_are_thread_safe(p_nc, p_heis):
+    # Four threads start together on a cold table and race to fill it: each
+    # must get the serial results, which another cold copy computes, and a
+    # sample must match the rewrite oracle.  The short switch interval makes
+    # the threads interleave inside the table's fill loop.
     from concurrent.futures import ThreadPoolExecutor
 
-    rng = random.Random(105)
-    words = [rand_word(rng, p1) for _ in range(24)]
-    serial = [normalize(w, p1) for w in words]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        parallel = list(pool.map(lambda w: normalize(w, p1), words))
-    assert parallel == serial
+    for pres, seed in ((p_nc, 105), (p_heis, 106)):
+        rng = random.Random(seed)
+        words = _prefixed_words(rng, pres, 16)
+        ref = dataclasses.replace(pres)
+        serial = [normalize(w, ref) for w in words]
+        for w, nf in zip(words[:4], serial):
+            assert nf == rewrite_normalize(w, pres)
+        for _ in range(3):
+            cold = dataclasses.replace(pres)
+            start = threading.Barrier(4)
+            orders = [rng.sample(range(len(words)), len(words)) for _ in range(4)]
+
+            def run(order):
+                start.wait(timeout=30)
+                return {i: normalize(words[i], cold) for i in order}
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    futures = [pool.submit(run, order) for order in orders]
+                    results = [f.result(timeout=120) for f in futures]
+            finally:
+                sys.setswitchinterval(interval)
+            for got in results:
+                assert [got[i] for i in range(len(words))] == serial
+            assert set(cold._pbw) == set(ref._pbw)

@@ -1,5 +1,5 @@
-"""Property tests: the table engine agrees with the rewrite oracle, the
-parser's evaluation in normal form agrees with normalizing the expanded
+"""Property tests: the table engine agrees with the rewrite oracle, with a
+warm table as with a cold one, the parser's evaluation in normal form agrees with normalizing the expanded
 words, the polynomial kernel keeps its integer-coefficient invariant, the
 heuristic gcd agrees with the pseudo-remainder reference, the field
 arithmetic and derivations obey their axioms on three-variable fractions, and
@@ -8,6 +8,7 @@ products agree with their pairwise references, and the bracket table
 computed once per unordered pair agrees with every ordered pair computed
 from the formula."""
 
+import dataclasses
 from fractions import Fraction
 from unittest import mock
 
@@ -79,6 +80,29 @@ def test_table_equals_rewrite_nonconstant_alpha(p_nc, data):
 @given(data=st.data())
 def test_table_equals_rewrite_heisenberg(p_heis, data):
     _agree(p_heis, data)
+
+
+def _warm_equals_cold(pres, data):
+    # words normalized in a random order over one presentation, whose table
+    # keeps the entries of every example before, equal those over a copy
+    # with a cold table, and the rewrite oracle
+    ws = data.draw(st.lists(words(pres), min_size=1, max_size=4))
+    order = data.draw(st.permutations(range(len(ws))))
+    warm = {i: normalize(ws[i], pres) for i in order}
+    for i, w in enumerate(ws):
+        assert warm[i] == normalize(w, dataclasses.replace(pres)) == rewrite_normalize(w, pres)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_warm_table_equals_cold_nonconstant_alpha(p_nc, data):
+    _warm_equals_cold(p_nc, data)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_warm_table_equals_cold_heisenberg(p_heis, data):
+    _warm_equals_cold(p_heis, data)
 
 
 def expressions(pres):
