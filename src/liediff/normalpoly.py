@@ -98,9 +98,6 @@ class NormalPoly(SparseSum):
     def slots(self) -> set:
         return {g for m in self.terms for g, _ in m if isinstance(g, str)}
 
-    def order(self) -> int:
-        return max((sum(g) for g in self.x_support()), default=0)
-
     # -- ring operations -------------------------------------------------------
 
     def __mul__(self, other: "NormalPoly") -> "NormalPoly":
@@ -149,7 +146,6 @@ def _linear(p: Presentation, T: dict) -> NormalPoly:
 def x_action(i: int, I, p: Presentation) -> NormalPoly:
     """Image of the variable X_I under D_i: the normal form T(i, I) of
     D_i * D^I, read back as a linear normal polynomial."""
-    p.derivation(i)  # UnknownDerivation outside 1..n
     return _linear(p, PBWTable(p).entry(i, _multi_index(I, p.n)))
 
 

@@ -247,8 +247,7 @@ class PBWTable:
     Sharing is thread-safe without a lock: an entry is published only once
     it is complete, and it is never mutated, replaced or evicted afterwards.
     Two threads that race on one key compute equal values, and the first to
-    publish wins.  Callers pass only checked keys (``_multi_index``, and
-    derivation indices in 1..n)."""
+    publish wins."""
 
     __slots__ = ("p", "one", "entries", "added")
 
@@ -260,9 +259,16 @@ class PBWTable:
 
     def entry(self, k: int, I: tuple) -> dict:
         """T(k, I), filling the entries it depends on first with an explicit
-        stack, so that long words need no deep recursion."""
+        stack, so that long words need no deep recursion.  A missing key is
+        checked first (k in 1..n, I a multi-index of arity n), so a bad key
+        is never stored and a stored one costs no check."""
         entries = self.entries
         want = (k, I)
+        hit = entries.get(want)
+        if hit is not None:
+            return hit
+        self.p.derivation(k)
+        _multi_index(I, self.p.n)
         todo = [want]
         while todo:
             key = todo[-1]

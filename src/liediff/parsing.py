@@ -28,7 +28,7 @@ from .errors import ExprSyntaxError, UnknownDerivation, UnknownVariable
 from .field import RatFunc
 from .lie import Presentation
 from .normalpoly import NormalPoly
-from .ops import NormalOperator, PBWTable
+from .ops import NormalOperator, op_mul
 
 
 class _Tok(NamedTuple):
@@ -156,12 +156,6 @@ _DSYM = re.compile(r"^D(\d+)$")
 
 
 class _OperatorParser(_Parser):
-    def __init__(self, text: str, vars: tuple[str, ...], pres: Presentation):
-        super().__init__(text, vars, pres)
-        # the presentation's table: the products and the steps of a power
-        # share its entries with each other and with every other call
-        self.table = PBWTable(pres)
-
     def const(self, c: RatFunc) -> NormalOperator:
         return NormalOperator.monomial(self.vars, self.pres.n, (0,) * self.pres.n, c)
 
@@ -179,7 +173,7 @@ class _OperatorParser(_Parser):
         return NormalOperator.monomial(self.vars, n, e, RatFunc.const(self.vars, 1))
 
     def mul(self, a, b):
-        return self.table.mul(a, b)
+        return op_mul(a, b, self.pres)
 
     def power(self, a, k: int):
         # a^k = a * a^(k-1): the base stays the left operand, whose symbols

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -233,6 +234,43 @@ class TestGcd:
         monkeypatch.setattr(field, "_pp_gcd_prs", lambda f, g: fallbacks.append(f) or real_prs(f, g))
         assert [mpoly_gcd(f, g) for f, g in pairs] == want
         assert fallbacks
+
+    def test_fallback_keeps_the_coprime_shortcut(self, monkeypatch):
+        # coprime inputs over 4 or 5 variables run the whole pseudo-remainder
+        # sequence unless coprime univariate images end it first: without
+        # that shortcut, some pairs below take seconds each
+        sympy = pytest.importorskip("sympy")
+        from test_gcd_sympy import from_sympy, positive_lead, to_sympy
+
+        rng = random.Random(1)
+
+        def sparse(vars, deg):
+            # 3 or 4 terms, each exponent at most deg
+            while True:
+                f = MPoly(vars, {
+                    tuple(rng.randint(0, deg) for _ in vars): rng.choice((-3, -2, -1, 1, 2, 3))
+                    for _ in range(rng.randint(3, 4))
+                })
+                if not f.is_const():
+                    return f
+
+        pairs = []
+        for _ in range(2):
+            for vars in [("w", "x", "y", "z"), ("v", "w", "x", "y", "z")]:
+                pairs += [(sparse(vars, 3), sparse(vars, 3)) for _ in range(6)]
+                for _ in range(6):
+                    h = sparse(vars, 1)
+                    pairs.append((sparse(vars, 1) * h, sparse(vars, 1) * h))
+        want = []
+        for f, g in pairs:
+            gens = sympy.symbols(f.vars)
+            h = sympy.gcd(to_sympy(f, gens).set_domain("ZZ"), to_sympy(g, gens).set_domain("ZZ"))
+            want.append(positive_lead(from_sympy(h, f.vars)))
+        monkeypatch.setattr(liediff.field, "_heu_gcd", lambda f, g: None)
+        start = time.perf_counter()
+        for (f, g), h in zip(pairs, want):
+            assert mpoly_gcd(f, g) == h, (f, g)
+            assert time.perf_counter() - start < 3.0
 
 
 class TestDerive:

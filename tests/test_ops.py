@@ -27,6 +27,7 @@ from liediff import (
     rewrite_normalize,
 )
 from liediff.normalpoly import x_action
+from liediff.ops import PBWTable
 from conftest import make_presentation, rand_poly, rand_word, word
 
 
@@ -224,6 +225,33 @@ class TestSharedTable:
         wanted = {(i, I) for i in range(1, 4) for I in indices_up_to(3, 2) if sum(I) == 2}
         assert wanted <= added
         assert all(sum(I) == 2 for _, I in added)
+
+    @pytest.mark.parametrize(
+        "key, error",
+        [
+            ((2, (-1, 2)), InvalidMultiIndex),  # once an endless fill loop
+            ((1, (0, -1)), InvalidMultiIndex),  # once stored as an entry
+            ((3, (0, 0)), UnknownDerivation),
+            ((0, (1, 0)), UnknownDerivation),
+            ((1, (0, 0, 1)), ArityMismatch),
+        ],
+    )
+    def test_bad_keys_raise_and_are_not_stored(self, p_nc, key, error):
+        pres = dataclasses.replace(p_nc)
+        PBWTable(pres).entry(2, (1, 1))
+        raised = []
+
+        def call():
+            try:
+                PBWTable(pres).entry(*key)
+            except error as e:
+                raised.append(e)
+
+        t = threading.Thread(target=call, daemon=True)
+        t.start()
+        t.join(timeout=1.0)
+        assert not t.is_alive() and raised
+        assert key not in pres._pbw
 
     def test_replace_starts_an_empty_table(self, p1, p_abelian):
         pres = dataclasses.replace(p1)

@@ -1,8 +1,9 @@
 """Property tests: the table engine agrees with the rewrite oracle, with a
 warm table as with a cold one, the parser's evaluation in normal form agrees with normalizing the expanded
-words, the polynomial kernel keeps its integer-coefficient invariant, the
-heuristic gcd agrees with the pseudo-remainder reference, the field
-arithmetic and derivations obey their axioms on three-variable fractions, and
+words, the polynomial kernel keeps its integer-coefficient invariant and its
+product agrees with a naive one, the heuristic gcd agrees with the
+pseudo-remainder reference, the field arithmetic and derivations obey their
+axioms on three-variable fractions, and
 derivation over one common denominator and the one-normalization sum of
 products agree with their pairwise references, and the bracket table
 computed once per unordered pair agrees with every ordered pair computed
@@ -15,7 +16,7 @@ from unittest import mock
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import liediff.field  # noqa: E402
 from liediff import (  # noqa: E402
@@ -245,6 +246,32 @@ def test_polynomial_lift_equals_normalize(data):
         (RatFunc.const(vars, c), ratfunc_normalize(MPoly.const(vars, c), one)),
     ]:
         assert got == want and _int_coefficients(got)
+
+
+def _naive_product(f: MPoly, g: MPoly) -> dict:
+    # the schoolbook product over Fraction coefficients, zero terms dropped
+    t = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            t[e] = t.get(e, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return {e: c for e, c in t.items() if c}
+
+
+_X, _Y = (MPoly.variable(("x", "y", "z"), v) for v in "xy")
+
+
+@PROPERTY
+@given(*[polys(("x", "y", "z"), fractions=True, max_size=4)] * 4)
+@example(_X, _Y, _X, _Y)
+def test_product_equals_naive_product(a, b, u, v):
+    # the kernel's one multiply-accumulate against a product written here;
+    # (u + v) * (u - v) cancels its cross terms
+    for f, g in [(a, b), (u + v, u - v)]:
+        got = f * g
+        assert got.terms == _naive_product(f, g)
+        if not g.is_zero():
+            assert divexact(got, g) == f
 
 
 def _positive_lead(f: MPoly) -> MPoly:
