@@ -8,12 +8,15 @@ representations, so equality is structural.
 
 Coefficients are stored as plain ``int`` whenever they are integral, which
 canonical numerators and denominators always are; a ``Fraction`` appears only
-for a non-integral coefficient of an intermediate polynomial.  ``MPoly``
-normalizes every coefficient once, on construction.  Since ``3 == Fraction(3)``,
-their hashes agree and both print as ``3``, equality, hashing and printing
-do not depend on the stored type.  Every coefficient division goes through
-``_coef_div``, which returns ``a // b`` when ``b`` divides ``a`` and a
-``Fraction`` otherwise, so no float ever enters a polynomial.
+for a non-integral coefficient of an intermediate polynomial.  ``MPoly(...)``
+normalizes every coefficient once, on construction; kernel results whose
+terms are clean by construction skip that through ``_mpoly``, and results that
+may hold an integral Fraction still go through ``MPoly(...)``.  Since
+``3 == Fraction(3)``, their hashes agree and both print as ``3``, equality,
+hashing and printing do not depend on the stored type.  Every coefficient
+division goes through ``_coef_div``, which returns ``a // b`` when ``b``
+divides ``a`` and a ``Fraction`` otherwise, so no float ever enters a
+polynomial.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd as _igcd, isqrt as _isqrt, lcm as _ilcm
-from operator import add
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -117,6 +120,9 @@ class MPoly:
     def _is_one(self) -> bool:
         if len(self.terms) != 1:
             return False
+        if self is _unit(self.vars):
+            return True
+        # a unit built elsewhere counts as one too
         ((e, c),) = self.terms.items()
         return c == 1 and not any(e)
 
@@ -134,11 +140,17 @@ class MPoly:
         self._require_same_vars(other)
         t = dict(self.terms)
         for e, c in other.terms.items():
-            t[e] = t.get(e, 0) + c
-        return MPoly(self.vars, t)
+            c += t.get(e, 0)
+            if type(c) is not int:
+                c = _coef(c)
+            if c:
+                t[e] = c
+            else:
+                del t[e]
+        return _mpoly(self.vars, t)
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _mpoly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
@@ -147,13 +159,23 @@ class MPoly:
         self._require_same_vars(other)
         t: dict[tuple[int, ...], int | Fraction] = {}
         _mul_into(t, self.terms, other.terms)
+        if _ints(self.terms) and _ints(other.terms):
+            return _mpoly(self.vars, t)
+        # a product of Fractions may be integral
         return MPoly(self.vars, t)
 
     def _scale(self, c) -> "MPoly":
-        return MPoly(self.vars, {e: k * c for e, k in self.terms.items()})
+        # c is nonzero
+        if c == 1:
+            return self
+        t = {e: k * c for e, k in self.terms.items()}
+        if type(c) is int and _ints(self.terms):
+            return _mpoly(self.vars, t)
+        return MPoly(self.vars, t)
 
     def _divide(self, c) -> "MPoly":
-        return MPoly(self.vars, {e: _coef_div(k, c) for e, k in self.terms.items()})
+        # c is nonzero; _coef_div already gives the stored form
+        return _mpoly(self.vars, {e: _coef_div(k, c) for e, k in self.terms.items()})
 
     def __pow__(self, k: int) -> "MPoly":
         if k < 0:
@@ -231,6 +253,28 @@ class MPoly:
         return f"MPoly({self})"
 
 
+_new = object.__new__
+
+
+def _mpoly(vars: tuple[str, ...], terms: dict) -> MPoly:
+    """The trusted constructor: an MPoly over the tuple vars holding terms as
+    given, without the checks of ``MPoly(...)``.  The caller vouches that
+    terms is clean: tuple exponents of arity len(vars), no zero coefficient,
+    and each coefficient an int or a non-integral Fraction."""
+    p = _new(MPoly)
+    p.vars = vars
+    p.terms = terms
+    return p
+
+
+_INT = {int}
+
+
+def _ints(terms: dict) -> bool:
+    # every coefficient an int: sums and products of these need no _coef
+    return {*map(type, terms.values())} <= _INT
+
+
 def _mul_into(t: dict, a: dict, b: dict) -> None:
     # the one multiply-accumulate of the kernel: add the product of the term
     # dicts a and b into t, dropping a key whose sum is zero
@@ -286,20 +330,25 @@ def divexact(f: MPoly, g: MPoly) -> MPoly:
         qc = _coef_div(rest[fe], gc)
         q[qe] = qc
         _mul_into(rest, {qe: -qc}, g.terms)
-    return MPoly(f.vars, q)
+    return _mpoly(f.vars, q)
 
 
-# Multivariate gcd of primitive integer polynomials, two ways.  The heuristic
-# gcd GCDHEU (Char, Geddes and Gonnet, JSC 1989) runs first: it evaluates the
-# highest occurring variable at a large integer xi, recurses down to one
-# integer gcd, and rebuilds each level by symmetric xi-adic expansion; a
-# candidate that divides both inputs is the gcd.  When a few xi all fail it
-# falls back to the reference: view polynomials as univariate in the highest
-# occurring variable over the ring generated by the rest, pull out contents,
-# and run a primitive pseudo-remainder sequence (PRS) to a zero remainder.
-# One provable shortcut comes first: when univariate images at a point that
-# keeps both leading coefficients are coprime, the gcd is the gcd of the
-# contents; without it, coprime inputs over 4-5 variables can take seconds.
+# Multivariate gcd of primitive integer polynomials, with cofactors: _pp_gcd
+# returns (h, f/h, g/h), so that no caller divides by h again.  A primitive
+# argument with one term is a power product x^a; its gcd with g is x^b, b the
+# least exponent of each variable over both supports, and the cofactors are
+# exponent shifts.  Otherwise the heuristic gcd GCDHEU (Char, Geddes and
+# Gonnet, JSC 1989) runs: it evaluates the highest occurring variable at a
+# large integer xi, recurses down to one integer gcd, and rebuilds each level
+# by symmetric xi-adic expansion; a candidate that divides both inputs is the
+# gcd, and the two exact quotients of that check are the cofactors.  When a
+# few xi all fail it falls back to the reference: view polynomials as
+# univariate in the highest occurring variable over the ring generated by the
+# rest, pull out contents, and run a primitive pseudo-remainder sequence (PRS)
+# to a zero remainder; its cofactors come from two exact divisions.  One
+# provable shortcut comes first: when univariate images at a point that keeps
+# both leading coefficients are coprime, the gcd is the gcd of the contents;
+# without it, coprime inputs over 4-5 variables can take seconds.
 
 
 def _deg_in(f: MPoly, m: int) -> int:
@@ -311,11 +360,11 @@ def _coeff_in(f: MPoly, m: int, d: int) -> MPoly:
     for e, c in f.terms.items():
         if e[m] == d:
             t[e[:m] + (0,) + e[m + 1 :]] = c
-    return MPoly(f.vars, t)
+    return _mpoly(f.vars, t)
 
 
 def _shift(f: MPoly, m: int, d: int) -> MPoly:
-    return MPoly(f.vars, {e[:m] + (e[m] + d,) + e[m + 1 :]: c for e, c in f.terms.items()})
+    return _mpoly(f.vars, {e[:m] + (e[m] + d,) + e[m + 1 :]: c for e, c in f.terms.items()})
 
 
 def _prem(f: MPoly, g: MPoly, m: int) -> MPoly:
@@ -404,47 +453,71 @@ def _image_degree_bound(f: MPoly, g: MPoly, m: int, df: int, dg: int) -> int | N
     return None
 
 
-def _pp_gcd(f: MPoly, g: MPoly) -> MPoly:
-    # gcd of primitive polynomials (coprime integer coefficients, positive
-    # leading coefficient); result in the same normal form
-    if f.is_const() or g.is_const():
-        return MPoly.const(f.vars, 1)
-    h = _heu_gcd(f, g)
-    return _pp_gcd_prs(f, g) if h is None else h
+def _pp_gcd(f: MPoly, g: MPoly) -> tuple[MPoly, MPoly, MPoly]:
+    # (h, f/h, g/h) for primitive polynomials (coprime integer coefficients,
+    # positive leading coefficient); all three in the same normal form
+    if len(f.terms) == 1:
+        return _monomial_gcd(f, g)
+    if len(g.terms) == 1:
+        h, b, a = _monomial_gcd(g, f)
+        return h, a, b
+    out = _heu_gcd(f, g)
+    if out is None:
+        h = _pp_gcd_prs(f, g)
+        out = h, divexact(f, h), divexact(g, h)
+    return out
+
+
+def _monomial_gcd(m: MPoly, g: MPoly) -> tuple[MPoly, MPoly, MPoly]:
+    # (h, m/h, g/h) for a primitive power product m = x^a (a constant 1
+    # included) and a primitive g: h = x^b with b the least exponent of each
+    # variable over both supports
+    ((a, _),) = m.terms.items()
+    b = a
+    for e in g.terms:
+        b = tuple(map(min, b, e))
+        if not any(b):
+            return _unit(m.vars), m, g
+    return (
+        _mpoly(m.vars, {b: 1}),
+        _mpoly(m.vars, {tuple(map(sub, a, b)): 1}),
+        _mpoly(g.vars, {tuple(map(sub, e, b)): c for e, c in g.terms.items()}),
+    )
 
 
 _HEU_TRIES = 6
 
 
-def _heu_gcd(f: MPoly, g: MPoly) -> MPoly | None:
-    """gcd of two nonzero integer polynomials, integer content included, by
-    GCDHEU; None when the heuristic gives up.  With xi >= 2*min(|f|, |g|) + 2
-    a candidate that divides both inputs is provably the gcd."""
+def _heu_gcd(f: MPoly, g: MPoly) -> tuple[MPoly, MPoly, MPoly] | None:
+    """(h, f/h, g/h) for two nonzero integer polynomials, h their gcd with
+    the integer content included, by GCDHEU; None when the heuristic gives
+    up.  With xi >= 2*min(|f|, |g|) + 2 a candidate that divides both inputs
+    is provably the gcd, and the quotients of that check are the cofactors."""
     c = _igcd(_igcd(*f.terms.values()), _igcd(*g.terms.values()))
-    m = max((i for e in (*f.terms, *g.terms) for i, p in enumerate(e) if p), default=-1)
-    if m < 0:
-        return MPoly.const(f.vars, c)
     if c != 1:
         # an inner level loses factors unless the common content goes first
         f, g = f._divide(c), g._divide(c)
+    m = max((i for e in (*f.terms, *g.terms) for i, p in enumerate(e) if p), default=-1)
+    if m < 0:
+        return MPoly.const(f.vars, c), f, g
     xi = 2 * min(max(map(abs, f.terms.values())), max(map(abs, g.terms.values()))) + 29
     for _ in range(_HEU_TRIES):
         ff, gg = _eval_at(f, m, xi), _eval_at(g, m, xi)
         if ff.terms and gg.terms:
-            h = _heu_gcd(ff, gg)
-            if h is None:
+            out = _heu_gcd(ff, gg)
+            if out is None:
                 return None
-            cand = _xi_adic(h, m, xi).primitive_part()
+            cand = _xi_adic(out[0], m, xi).primitive_part()
             if cand.is_const():
                 # its primitive part 1 divides everything
-                return MPoly.const(f.vars, c)
+                return MPoly.const(f.vars, c), f, g
             try:
-                divexact(f, cand)
-                divexact(g, cand)
+                a = divexact(f, cand)
+                b = divexact(g, cand)
             except ValueError:
                 pass
             else:
-                return cand if c == 1 else cand._scale(c)
+                return cand._scale(c), a, b
         xi = 73794 * xi * _isqrt(_isqrt(xi)) // 27011
     return None
 
@@ -472,7 +545,7 @@ def _xi_adic(h: MPoly, m: int, xi: int) -> MPoly:
                 t[e[:m] + (d,) + e[m + 1 :]] = r
             c = (c - r) // xi
             d += 1
-    return MPoly(h.vars, t)
+    return _mpoly(h.vars, t)
 
 
 def _pp_gcd_prs(f: MPoly, g: MPoly) -> MPoly:
@@ -501,16 +574,28 @@ def _pp_gcd_prs(f: MPoly, g: MPoly) -> MPoly:
     return cont * _m_primitive(F, m)
 
 
+def mpoly_cofactors(f: MPoly, g: MPoly) -> tuple[MPoly, MPoly, MPoly]:
+    """(h, f/h, g/h) with h = mpoly_gcd(f, g).  As in sympy's ``cofactors``,
+    (0, 0) gives (0, 0, 0), and (0, g) gives (h, 0, g/h) with h = g or -g,
+    whichever has a positive leading coefficient."""
+    if f.is_zero() or g.is_zero():
+        if f.is_zero() and g.is_zero():
+            return f, f, g
+        h = g if f.is_zero() else f
+        sign = 1 if h.leading()[1] > 0 else -1
+        h, one, zero = h._scale(sign), MPoly.const(h.vars, sign), MPoly.zero(h.vars)
+        return (h, zero, one) if f.is_zero() else (h, one, zero)
+    cf, cg = f.content(), g.content()
+    c = _frac_gcd(cf, cg)
+    h, a, b = _pp_gcd(f if cf == 1 else f._divide(cf), g if cg == 1 else g._divide(cg))
+    # f = cf * a * h and c divides cf in the integers: f/(c*h) = (cf/c) * a
+    return h._scale(c), a._scale(_coef_div(cf, c)), b._scale(_coef_div(cg, c))
+
+
 def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
     """Greatest common divisor in Q[vars], canonicalized so that the result
     carries the gcd of the rational contents: mpoly_gcd(2x, 4) = 2."""
-    if f.is_zero() or g.is_zero():
-        h = g if f.is_zero() else f
-        return h if h.is_zero() or h.leading()[1] > 0 else -h
-    cf, cg = f.content(), g.content()
-    c = _frac_gcd(cf, cg)
-    h = _pp_gcd(f if cf == 1 else f._divide(cf), g if cg == 1 else g._divide(cg))
-    return h if c == 1 else h._scale(c)
+    return mpoly_cofactors(f, g)[0]
 
 
 def _poly_lcm(a: MPoly, b: MPoly) -> MPoly:
@@ -520,7 +605,7 @@ def _poly_lcm(a: MPoly, b: MPoly) -> MPoly:
         return a
     if a._is_one():
         return b
-    return divexact(a * b, mpoly_gcd(a, b))
+    return a * mpoly_cofactors(a, b)[2]
 
 
 @lru_cache(maxsize=256)
@@ -560,9 +645,13 @@ class RatFunc:
         c = Fraction(c)
         if not c:
             return cls.zero(vars)
+        # 1 is the shared unit over 1, so that is_one needs no dict test
+        unit = _unit(vars)
+        if c == 1:
+            return cls(unit, unit)
         z = (0,) * len(vars)
         b = c.denominator
-        return cls(MPoly(vars, {z: c.numerator}), _unit(vars) if b == 1 else MPoly(vars, {z: b}))
+        return cls(MPoly(vars, {z: c.numerator}), unit if b == 1 else MPoly(vars, {z: b}))
 
     @classmethod
     def variable(cls, vars: Iterable[str], name: str) -> "RatFunc":
@@ -614,20 +703,17 @@ class RatFunc:
         if self.den._is_one() and other.den._is_one():
             # polynomials: an integer-coefficient numerator over 1 is canonical
             return RatFunc(self.num + other.num, self.den)
-        d = mpoly_gcd(self.den, other.den)
-        if d.is_const():
-            num = self.num * other.den + other.num * self.den
-            den = self.den * other.den
-            return _canonical_scale(num, den)
-        a_red = divexact(self.den, d)
-        b_red = divexact(other.den, d)
+        # with d = gcd of the denominators, a/(A*d) + b/(B*d) = t/(A*B*d) for
+        # t = a*B + b*A, and only a factor of d can cancel against t
+        d, a_red, b_red = mpoly_cofactors(self.den, other.den)
         t = self.num * b_red + other.num * a_red
         if t.is_zero():
             return RatFunc.zero(self.vars)
-        g = mpoly_gcd(t, d)
-        if g.is_const():
-            return _canonical_scale(t, a_red * other.den)
-        return _canonical_scale(divexact(t, g), a_red * divexact(other.den, g))
+        if not d.is_const():
+            g, t_red, d_red = mpoly_cofactors(t, d)
+            if not g.is_const():
+                return _canonical_scale(t_red, a_red * b_red * d_red)
+        return _canonical_scale(t, a_red * other.den)
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den)
@@ -641,11 +727,9 @@ class RatFunc:
             return RatFunc.zero(self.vars)
         if self.den._is_one() and other.den._is_one():
             return RatFunc(self.num * other.num, self.den)
-        g1 = mpoly_gcd(self.num, other.den)
-        g2 = mpoly_gcd(other.num, self.den)
-        num = divexact(self.num, g1) * divexact(other.num, g2)
-        den = divexact(self.den, g2) * divexact(other.den, g1)
-        return _canonical_scale(num, den)
+        _, n1, d2 = mpoly_cofactors(self.num, other.den)
+        _, n2, d1 = mpoly_cofactors(other.num, self.den)
+        return _canonical_scale(n1 * n2, d1 * d2)
 
     def reciprocal(self) -> "RatFunc":
         if self.is_zero():
@@ -740,6 +824,16 @@ class SparseSum:
     def zero(cls, vars, n: int):
         return cls(vars, n, {})
 
+    @classmethod
+    def _trusted(cls, vars: tuple[str, ...], n: int, terms: dict):
+        # an internal result, without the checks of __init__: its keys are
+        # keys of operands that passed them, and no coefficient is zero
+        s = _new(cls)
+        s.vars = vars
+        s.n = n
+        s.terms = terms
+        return s
+
     def _require_compat(self, other) -> None:
         name = type(self).__name__
         if type(other) is not type(self):
@@ -752,10 +846,10 @@ class SparseSum:
         t = dict(self.terms)
         for key, c in other.terms.items():
             _add_to(t, key, c)
-        return type(self)(self.vars, self.n, t)
+        return self._trusted(self.vars, self.n, t)
 
     def __neg__(self):
-        return type(self)(self.vars, self.n, {key: -c for key, c in self.terms.items()})
+        return self._trusted(self.vars, self.n, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -813,8 +907,8 @@ def ratfunc_normalize(num: MPoly, den: MPoly) -> RatFunc:
     if den.is_const():
         # no polynomial factor to cancel: only the contents need fixing
         return _canonical_scale(num, den)
-    g = mpoly_gcd(num, den)
-    return _canonical_scale(divexact(num, g), divexact(den, g))
+    _, num, den = mpoly_cofactors(num, den)
+    return _canonical_scale(num, den)
 
 
 def common_denominator(xs: Sequence[RatFunc], vars) -> tuple[list[MPoly], MPoly]:
@@ -871,7 +965,9 @@ def derive(action: DerivationAction, f: RatFunc) -> RatFunc:
 
 
 def _derive_poly(action: DerivationAction, p: MPoly) -> MPoly:
-    # D'(p) = sum_j d_j(p) * nums[j], added into one dict
+    # D'(p) = sum_j d_j(p) * nums[j], added into one dict; p and the nums
+    # have int coefficients (canonical parts and their lcm multiples), so
+    # dropping the zero sums leaves the terms clean
     t: dict[tuple[int, ...], int] = {}
     for j, pj in enumerate(action.nums):
         if not pj.terms:
@@ -883,8 +979,12 @@ def _derive_poly(action: DerivationAction, p: MPoly) -> MPoly:
                 ck = c * k
                 for e2, c2 in pj.terms.items():
                     m = tuple(map(add, e1, e2))
-                    t[m] = t.get(m, 0) + ck * c2
-    return MPoly(p.vars, t)
+                    s = t.get(m, 0) + ck * c2
+                    if s:
+                        t[m] = s
+                    else:
+                        del t[m]
+    return _mpoly(p.vars, t)
 
 
 def lincomb(pairs: Iterable[tuple[RatFunc, RatFunc]], vars: Sequence[str]) -> RatFunc:
@@ -912,14 +1012,14 @@ def lincomb(pairs: Iterable[tuple[RatFunc, RatFunc]], vars: Sequence[str]) -> Ra
         _mul_into(groups.setdefault(den, {}), a.num.terms, b.num.terms)
     num = den = None
     for d, t in groups.items():
-        n = MPoly(vars, t)
-        if not n.terms:
+        if not t:
             continue
+        # canonical numerators have int coefficients and _mul_into drops zeros
+        n = _mpoly(vars, t)
         if den is None:
             num, den = n, d
             continue
-        g = mpoly_gcd(den, d)
-        a, b = divexact(den, g), divexact(d, g)
+        _, a, b = mpoly_cofactors(den, d)
         num, den = num * b + n * a, a * d
     if num is None:
         return RatFunc.zero(vars)

@@ -319,7 +319,8 @@ class PBWTable:
         acc: dict = {}
         for term in _words(a):
             self.fold(term, b.terms, acc)
-        return NormalOperator(a.vars, a.n, acc)
+        # the keys come from b and from table entries, checked on the way in
+        return NormalOperator._trusted(a.vars, a.n, acc)
 
     def fold(self, factors, part: dict, acc: dict) -> None:
         """Add to acc the normal form of the composition of factors with the

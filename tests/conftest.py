@@ -141,14 +141,15 @@ def field_zero(pres) -> RatFunc:
 
 @pytest.fixture
 def gcd_calls(monkeypatch):
-    """A list that grows by one entry per ``mpoly_gcd`` call the field
-    arithmetic makes while the test runs."""
+    """A list that grows by one entry (f, g) per gcd the field arithmetic
+    takes while the test runs: every caller, ``mpoly_gcd`` included, goes
+    through ``mpoly_cofactors``."""
     calls = []
-    real = liediff.field.mpoly_gcd
+    real = liediff.field.mpoly_cofactors
 
     def counting(f, g):
         calls.append((f, g))
         return real(f, g)
 
-    monkeypatch.setattr(liediff.field, "mpoly_gcd", counting)
+    monkeypatch.setattr(liediff.field, "mpoly_cofactors", counting)
     return calls

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import liediff.field
+from liediff.field import mpoly_cofactors
 from liediff import (
     DerivationAction,
     DivisionByZero,
@@ -113,6 +114,15 @@ class TestArith:
     def test_sub(self):
         assert (rf("x") - rf("x")).is_zero()
 
+    def test_polynomial_arithmetic_needs_no_gcd(self, gcd_calls):
+        # sums and products of polynomials over 1 are canonical already
+        f, g = rf("x^2*y - 3"), rf("2*x + y")
+        want = [rf("x^2*y + 2*x + y - 3"), rf("x^2*y - 2*x - y - 3"),
+                rf("2*x^3*y + x^2*y^2 - 6*x - 3*y")]
+        gcd_calls.clear()
+        assert [f + g, f - g, f * g] == want
+        assert gcd_calls == []
+
     def test_pow_negative(self):
         assert rf("x/2") ** -2 == rf("4/x^2")
 
@@ -194,8 +204,10 @@ class TestGcd:
         # integer content of the inner level, and y^2 rebuilds from it
         f = MPoly(VARS, {(2, 2): 5})
         g = MPoly(VARS, {(1, 3): 11})
-        assert mpoly_gcd(f, g) == MPoly(VARS, {(1, 2): 1})
-        assert liediff.field._heu_gcd(f, g) == MPoly(VARS, {(1, 2): 1})
+        want = (MPoly(VARS, {(1, 2): 1}), MPoly(VARS, {(1, 0): 5}), MPoly(VARS, {(0, 1): 11}))
+        # the monomial shortcut, and the heuristic on the same pair
+        assert mpoly_cofactors(f, g) == want
+        assert liediff.field._heu_gcd(f, g) == want
 
     def test_xi_grows_and_agrees_with_prs(self, monkeypatch):
         # large coefficients make some first evaluation points fail; the
@@ -216,7 +228,9 @@ class TestGcd:
         for _ in range(40):
             h = big()
             f, g = ((big() * h).primitive_part() for _ in range(2))
-            assert field._pp_gcd(f, g) == field._pp_gcd_prs(f, g)
+            h, a, b = field._pp_gcd(f, g)
+            assert h == field._pp_gcd_prs(f, g)
+            assert (a * h, b * h) == (f, g)
         assert growths
 
     def test_forced_fallback_gives_the_same_gcd(self, monkeypatch):
@@ -227,12 +241,12 @@ class TestGcd:
             for _ in range(10):
                 h = rand_nonzero_poly(rng, vars, 2)
                 pairs.append((rand_poly(rng, vars, 2) * h, rand_nonzero_poly(rng, vars, 2) * h))
-        want = [mpoly_gcd(f, g) for f, g in pairs]
+        want = [mpoly_cofactors(f, g) for f, g in pairs]
         fallbacks = []
         real_prs = field._pp_gcd_prs
         monkeypatch.setattr(field, "_heu_gcd", lambda f, g: None)
         monkeypatch.setattr(field, "_pp_gcd_prs", lambda f, g: fallbacks.append(f) or real_prs(f, g))
-        assert [mpoly_gcd(f, g) for f, g in pairs] == want
+        assert [mpoly_cofactors(f, g) for f, g in pairs] == want
         assert fallbacks
 
     def test_fallback_keeps_the_coprime_shortcut(self, monkeypatch):
@@ -269,7 +283,9 @@ class TestGcd:
         monkeypatch.setattr(liediff.field, "_heu_gcd", lambda f, g: None)
         start = time.perf_counter()
         for (f, g), h in zip(pairs, want):
-            assert mpoly_gcd(f, g) == h, (f, g)
+            got, a, b = mpoly_cofactors(f, g)
+            assert got == h, (f, g)
+            assert (a * h, b * h) == (f, g)
             assert time.perf_counter() - start < 3.0
 
 
@@ -296,6 +312,22 @@ class TestDerive:
         assert gcd_calls == []
         assert d == rf("3*x^3*y + x^3 + 2*x*y^2 + 4*x*y")
         assert (c.num, c.den) == (MPoly.const(VARS, -3), MPoly.const(VARS, 2))
+
+    def test_gcd_fixture_records_fraction_arithmetic(self, gcd_calls):
+        # the fixture must see the gcds the callers take, or the tests that
+        # assert it saw none would pass whatever the code does
+        a, b, want = rf("1/x"), rf("y/(x + y)"), rf("(x*y + x + y)/(x^2 + x*y)")
+        gcd_calls.clear()
+        assert a + b == want
+        assert gcd_calls == [(a.den, b.den)]
+        a * b
+        assert gcd_calls[1:] == [(a.num, b.den), (b.num, a.den)]
+
+    def test_cancelling_terms_are_dropped(self):
+        # D(x) = x and D(y) = -y send x*y to x*y - x*y: no zero term may stay
+        D = DerivationAction("D", VARS, (rf("x"), rf("-y")))
+        assert derive(D, rf("x*y + x")).num.terms == {(1, 0): 1}
+        assert derive(D, rf("x/(x*y + 1)")) == rf("x/(x*y + 1)")
 
     def test_constants_annihilated(self):
         D = DerivationAction("D", VARS, (rf("x"), rf("1")))
@@ -372,6 +404,15 @@ class TestUnitDenominator:
         ):
             assert f.den is unit
         assert RatFunc.zero(("x",)).den is not unit
+
+    def test_unit_built_elsewhere_is_one(self):
+        # is_one tests identity with the shared unit first; an equal unit
+        # built elsewhere still counts as one
+        one = RatFunc.const(VARS, 1)
+        assert one.num is one.den is RatFunc.zero(VARS).den
+        other = RatFunc(MPoly.const(VARS, 1), MPoly.const(VARS, 1))
+        assert one.is_one() and other.is_one() and other == one
+        assert not RatFunc.const(VARS, 2).is_one() and not RatFunc.const(VARS, Fraction(1, 2)).is_one()
 
     def test_const_is_canonical(self):
         for c in (0, 7, -3, Fraction(6, -4), Fraction(0, 5), 2.5, True):

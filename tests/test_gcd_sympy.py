@@ -12,6 +12,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from liediff import MPoly, matrix_invert, mpoly_gcd, ratfunc_normalize  # noqa: E402
+from liediff.field import mpoly_cofactors  # noqa: E402
 from conftest import rand_nonzero_poly, rand_poly, rand_ratfunc  # noqa: E402
 
 
@@ -44,8 +45,14 @@ def planted_pairs(seed, vars, count, deg=2):
 def assert_gcd_matches_sympy(f, g, vars):
     gens = sympy.symbols(vars)
     # over ZZ sympy keeps the gcd of the integer contents, as liediff does
-    theirs = sympy.gcd(to_sympy(f, gens).set_domain("ZZ"), to_sympy(g, gens).set_domain("ZZ"))
+    F, G = (to_sympy(p, gens).set_domain("ZZ") for p in (f, g))
+    theirs = sympy.gcd(F, G)
     assert mpoly_gcd(f, g) == positive_lead(from_sympy(theirs, vars)), (f, g)
+    # a second oracle: sympy's cofactors, signs flipped with the gcd's
+    h, a, b = (from_sympy(p, vars) for p in F.cofactors(G))
+    if positive_lead(h) != h:
+        h, a, b = -h, -a, -b
+    assert mpoly_cofactors(f, g) == (h, a, b), (f, g)
 
 
 @pytest.mark.parametrize("vars", [("x", "y"), ("x", "y", "z")])
@@ -68,8 +75,10 @@ def test_gcd_tail_seeds_match_sympy(seed, sizes, gcd_calls):
     rng = random.Random(seed)
     A = [[rand_ratfunc(rng, vars, 1, 1) for _ in range(3)] for _ in range(3)]
     matrix_invert(A)
-    assert sizes in {(len(f.terms), len(g.terms)) for f, g in gcd_calls}
-    for f, g in gcd_calls:
+    # a copy: the checks below take gcds too, and the fixture records them
+    pairs = list(gcd_calls)
+    assert sizes in {(len(f.terms), len(g.terms)) for f, g in pairs}
+    for f, g in pairs:
         assert_gcd_matches_sympy(f, g, vars)
 
 

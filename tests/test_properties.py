@@ -1,8 +1,10 @@
 """Property tests: the table engine agrees with the rewrite oracle, with a
 warm table as with a cold one, the parser's evaluation in normal form agrees with normalizing the expanded
 words, the polynomial kernel keeps its integer-coefficient invariant and its
-product agrees with a naive one, the heuristic gcd agrees with the
-pseudo-remainder reference, the field arithmetic and derivations obey their
+product agrees with a naive one, the heuristic gcd and the gcd with
+cofactors agree with the pseudo-remainder reference, the kernel's trusted
+constructors build what the validating ones build, the field arithmetic and
+derivations obey their
 axioms on three-variable fractions, and
 derivation over one common denominator and the one-normalization sum of
 products agree with their pairwise references, and the bracket table
@@ -10,7 +12,9 @@ computed once per unordered pair agrees with every ordered pair computed
 from the formula."""
 
 import dataclasses
+import random
 from fractions import Fraction
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
@@ -36,7 +40,9 @@ from liediff import (  # noqa: E402
     rewrite_normalize,
     validate_antisymmetry,
 )
-from liediff import ops  # noqa: E402
+from liediff import NormalOperator, NormalPoly, op_mul, ops  # noqa: E402
+from conftest import rand_npoly  # noqa: E402
+from liediff.field import mpoly_cofactors  # noqa: E402
 
 
 def coefficients(vars):
@@ -328,8 +334,9 @@ def test_heuristic_gcd_equals_prs(data, bound):
     # so xi has to grow
     f, g, h = _planted_pair(data, bound)
     f, g = f.primitive_part(), g.primitive_part()
-    got = liediff.field._pp_gcd(f, g)
+    got, a, b = liediff.field._pp_gcd(f, g)
     assert got == liediff.field._pp_gcd_prs(f, g)
+    assert (a * got, b * got) == (f, g)
     h = h.primitive_part()
     assert divexact(got, h) * h == got
 
@@ -340,9 +347,125 @@ def test_heuristic_mpoly_gcd_equals_prs_on_fractions(data):
     vars = data.draw(st.sampled_from(HEU_VARS))
     f, g, h = (data.draw(polys(vars, fractions=True)) for _ in range(3))
     f, g = f * h, g * h
-    got = mpoly_gcd(f, g)
-    with mock.patch.object(liediff.field, "_pp_gcd", liediff.field._pp_gcd_prs):
-        assert got == mpoly_gcd(f, g)
+    got = mpoly_cofactors(f, g)
+
+    def prs(f, g):
+        h = liediff.field._pp_gcd_prs(f, g)
+        return h, divexact(f, h), divexact(g, h)
+
+    with mock.patch.object(liediff.field, "_pp_gcd", prs):
+        assert got == mpoly_cofactors(f, g)
+
+
+# -- gcd with cofactors against the pseudo-remainder reference ---------------
+
+
+def _stored_clean(f: MPoly) -> bool:
+    """f holds what the validating constructor would store: the same terms,
+    each coefficient of the same type (an int when integral), no zero."""
+    g = MPoly(f.vars, dict(f.terms))
+    return (
+        type(f.vars) is tuple
+        and g == f
+        and all(type(c) is type(g.terms[e]) for e, c in f.terms.items())
+    )
+
+
+def _gcd_reference(f: MPoly, g: MPoly) -> MPoly:
+    # the gcd by _pp_gcd_prs alone, rational content included, as the
+    # docstring of mpoly_gcd defines it
+    if f.is_zero() or g.is_zero():
+        return _positive_lead(f + g)
+    cf, cg = Fraction(f.content()), Fraction(g.content())
+    c = Fraction(gcd(cf.numerator, cg.numerator), lcm(cf.denominator, cg.denominator))
+    return MPoly.const(f.vars, c) * liediff.field._pp_gcd_prs(f.primitive_part(), g.primitive_part())
+
+
+def gcd_arguments(vars):
+    """Fraction coefficients of either sign, monomials with a non-unit
+    coefficient, and zero."""
+    monomials = polys(vars, fractions=True, bound=12, max_deg=3, max_size=1)
+    return st.one_of(monomials, polys(vars, fractions=True), st.just(MPoly.zero(vars)))
+
+
+@st.composite
+def gcd_pairs(draw):
+    vars = draw(st.sampled_from(HEU_VARS))
+    args = gcd_arguments(vars)
+    h = draw(st.one_of(args, st.just(MPoly.const(vars, 1))))
+    return draw(args) * h, draw(args) * h
+
+
+_XY = ("x", "y")
+_ZERO = MPoly.zero(_XY)
+_NEG = MPoly(_XY, {(2, 1): Fraction(-3, 2), (0, 1): 4})
+
+
+@PROPERTY
+@given(pair=gcd_pairs())
+@example(pair=(_ZERO, _ZERO))
+@example(pair=(_ZERO, _NEG))
+@example(pair=(_NEG, _ZERO))
+@example(pair=(MPoly(_XY, {(1, 2): -6}), _NEG))
+@example(pair=(_NEG, MPoly.const(_XY, Fraction(-2, 3))))
+def test_cofactors_equal_prs_reference(pair):
+    f, g = pair
+    h, a, b = mpoly_cofactors(f, g)
+    assert h == _gcd_reference(f, g) == mpoly_gcd(f, g)
+    if h.is_zero():
+        assert a.is_zero() and b.is_zero()
+    else:
+        assert (a * h, b * h) == (f, g)
+    assert all(_stored_clean(r) for r in (h, a, b))
+
+
+# -- trusted construction against the validating constructors ----------------
+
+
+_COEFFS = st.one_of(
+    st.integers(-6, 6).filter(bool),
+    st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4)),
+)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_trusted_polynomials_equal_validated(data):
+    # every result the kernel builds without the checks of MPoly(...) is
+    # what MPoly(...) builds from the same terms
+    vars = data.draw(st.sampled_from(HEU_VARS))
+    f, g = (data.draw(polys(vars, fractions=True)) for _ in range(2))
+    c = data.draw(_COEFFS)
+    results = [f + g, f - g, -f, f * g, f._scale(c), f._divide(c), *mpoly_cofactors(f, g)]
+    if not g.is_zero():
+        results.append(divexact(f * g, g))
+    assert all(_stored_clean(r) for r in results)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_trusted_field_results_equal_validated(data):
+    # _derive_poly, lincomb and the cofactor shifts build their results
+    # without the checks; canonical parts keep int coefficients
+    D = _action(SHARED_DENOMINATORS[data.draw(st.integers(0, len(SHARED_DENOMINATORS) - 1))])
+    f, g = data.draw(ratfuncs(XYZ)), data.draw(ratfuncs(XYZ))
+    for r in (derive(D, f), lincomb([(f, g), (g, f), (f, f)], XYZ), f + g, f * g):
+        assert _stored_clean(r.num) and _stored_clean(r.den)
+        assert r == ratfunc_normalize(r.num, r.den)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_trusted_normal_forms_equal_validated(p_nc, data):
+    # sums, negations and products of normal operators, and sums and
+    # negations of normal polynomials, skip the per-key checks
+    a, b = (normalize(data.draw(words(p_nc)), p_nc) for _ in range(2))
+    for r in (a + b, a - b, -a, op_mul(a, b, p_nc)):
+        assert type(r.vars) is tuple and NormalOperator(r.vars, r.n, dict(r.terms)) == r
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    q, u = rand_npoly(rng, p_nc), rand_npoly(rng, p_nc)
+    for r in (q + u, q - u, -q):
+        assert type(r.vars) is tuple and NormalPoly(r.vars, r.n, dict(r.terms)) == r
 
 
 # -- field axioms and derivations on three-variable fractions ----------------
