@@ -10,7 +10,6 @@ import argparse
 import json
 import re
 import sys
-from pathlib import Path
 
 from .errors import (
     CommutationFailure,
@@ -41,13 +40,35 @@ _IDENT = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 
 def _read_json(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except OSError as e:
         raise IoError(f"cannot read '{path}': {e}") from e
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"'{path}' is not UTF-8 text: {e}") from e
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError(f"'{path}' is not valid JSON: {e}") from e
+
+
+def _json_text(value, what: str) -> str:
+    """The text of a JSON expression or name field: a string, or an integer,
+    which reads as itself.  Anything else, a boolean or null included, would
+    read as a Python name, so it is a schema error."""
+    if isinstance(value, str):
+        return value
+    if type(value) is int:
+        return str(value)
+    raise SchemaError(f"{what} must be a string or an integer, not {value!r}")
+
+
+def _size(obj, n: int) -> int:
+    # the optional "n" of a matrix or structure-constants file
+    n = obj.get("n", n)
+    if type(n) is not int:
+        raise SchemaError("'n' must be an integer")
+    return n
 
 
 def _alpha_from_entries(n: int, vars, items) -> StructureConstants:
@@ -63,7 +84,8 @@ def _alpha_from_entries(n: int, vars, items) -> StructureConstants:
             raise SchemaError(f"structure-constant indices of {ent!r} must be integers")
         if (k, l, m) in given:
             raise SchemaError(f"duplicate structure-constant entry ({k},{l},{m})")
-        given[(k, l, m)] = parse_field_expr(str(ent["value"]), vars)
+        value = _json_text(ent["value"], f"the value of structure-constant entry ({k},{l},{m})")
+        given[(k, l, m)] = parse_field_expr(value, vars)
     entries: dict[tuple[int, int, int], RatFunc] = {}
     for (k, l, m), v in given.items():
         mirror = given.get((l, k, m))
@@ -104,8 +126,12 @@ def presentation_from_obj(obj) -> Presentation:
             raise SchemaError(
                 f"derivation {i} must map exactly the declared variables"
             )
-        images = tuple(parse_field_expr(str(action[v]), vars) for v in vars)
-        actions.append(DerivationAction(str(d.get("name", f"D{i}")), vars, images))
+        images = tuple(
+            parse_field_expr(_json_text(action[v], f"the image of {v} under derivation {i}"), vars)
+            for v in vars
+        )
+        name = _json_text(d.get("name", f"D{i}"), f"the name of derivation {i}")
+        actions.append(DerivationAction(name, vars, images))
     n = len(actions)
     alpha = _alpha_from_entries(n, vars, obj.get("alpha", []))
     return Presentation(vars, tuple(actions), alpha)
@@ -125,7 +151,7 @@ def load_basis_matrix(path: str, pres: Presentation):
     obj = _read_json(path)
     if not isinstance(obj, dict) or "entries" not in obj:
         raise SchemaError("basis-matrix file needs an 'entries' field")
-    n = obj.get("n", pres.n)
+    n = _size(obj, pres.n)
     if n != pres.n:
         raise SchemaError(f"basis matrix is {n}x{n} but the presentation has n={pres.n}")
     entries = obj["entries"]
@@ -135,14 +161,18 @@ def load_basis_matrix(path: str, pres: Presentation):
         or any(not isinstance(row, list) or len(row) != n for row in entries)
     ):
         raise SchemaError(f"'entries' must be an {n}x{n} array of expressions")
-    return [[parse_field_expr(str(e), pres.vars) for e in row] for row in entries]
+    return [
+        [parse_field_expr(_json_text(e, f"basis-matrix entry ({r},{c})"), pres.vars)
+         for c, e in enumerate(row, start=1)]
+        for r, row in enumerate(entries, start=1)
+    ]
 
 
 def load_structure_constants(path: str, pres: Presentation) -> StructureConstants:
     obj = _read_json(path)
     if not isinstance(obj, dict) or "alpha" not in obj:
         raise SchemaError("structure-constants file needs an 'alpha' list")
-    n = obj.get("n", pres.n)
+    n = _size(obj, pres.n)
     if n != pres.n:
         raise SchemaError(f"structure constants have n={n} but the presentation n={pres.n}")
     return _alpha_from_entries(n, pres.vars, obj["alpha"])

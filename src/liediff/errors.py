@@ -2,7 +2,41 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+
+class _Record:
+    """A frozen value record.  A subclass lists its attributes in
+    ``__slots__``, sets them in ``__init__`` through ``_init``, and names in
+    ``_fields`` those that its repr shows and that equality and hashing
+    compare.  Assigning or deleting an attribute raises ``AttributeError``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        # a record holding a dict is unhashable, as the dict is
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
 
 
 class LieDiffError(Exception):
@@ -106,12 +140,13 @@ class PresentationInvalid(LieDiffError):
         )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One entry of a check report; an empty report means the check passed."""
 
-    where: str
-    residual: object | None = None
+    __slots__ = _fields = ("where", "residual")
+
+    def __init__(self, where: str, residual: object | None = None):
+        self._init(where=where, residual=residual)
 
     def __str__(self) -> str:
         if self.residual is None:

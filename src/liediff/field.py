@@ -21,12 +21,11 @@ polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd as _igcd, isqrt as _isqrt, lcm as _ilcm
 from operator import add, sub
-from typing import Iterable, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -36,6 +35,7 @@ from .errors import (
     NotConstant,
     UnknownVariable,
     ZeroDenominator,
+    _Record,
 )
 
 
@@ -918,33 +918,28 @@ def common_denominator(xs: Sequence[RatFunc], vars) -> tuple[list[MPoly], MPoly]
     return [x.num if x.den == den else x.num * divexact(den, x.den) for x in xs], den
 
 
-@dataclass(frozen=True)
-class DerivationAction:
+class DerivationAction(_Record):
     """A derivation given by its images on the declared variables.
 
     The images are also kept over one common denominator, images[j] =
     nums[j] / den, with den the lcm of their denominators; ``derive`` reads
     these, and they take no part in equality, hashing or the repr."""
 
-    name: str
-    vars: tuple[str, ...]
-    images: tuple[RatFunc, ...]
-    nums: tuple[MPoly, ...] = dc_field(init=False, repr=False, compare=False)
-    den: MPoly = dc_field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "vars", "images", "nums", "den")
+    _fields = ("name", "vars", "images")
 
-    def __post_init__(self):
-        if len(self.images) != len(self.vars):
+    def __init__(self, name: str, vars: tuple[str, ...], images: tuple[RatFunc, ...]):
+        if len(images) != len(vars):
             raise ArityMismatch(
-                f"derivation {self.name} needs one image per variable, "
-                f"got {len(self.images)} for {len(self.vars)}"
+                f"derivation {name} needs one image per variable, "
+                f"got {len(images)} for {len(vars)}"
             )
-        if any(im.vars != self.vars for im in self.images):
+        if any(im.vars != vars for im in images):
             raise UnknownVariable(
-                f"an image of derivation {self.name} is over other variables"
+                f"an image of derivation {name} is over other variables"
             )
-        nums, den = common_denominator(self.images, self.vars)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", tuple(nums))
+        nums, den = common_denominator(images, vars)
+        self._init(name=name, vars=vars, images=images, nums=tuple(nums), den=den)
 
 
 def derive(action: DerivationAction, f: RatFunc) -> RatFunc:

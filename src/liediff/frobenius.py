@@ -12,14 +12,13 @@ vectors and the commuting basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     ArityMismatch,
     CommutationFailure,
     InvariantBroken,
     NotIndependent,
     Violation,
+    _Record,
 )
 from .field import (
     DerivationAction,
@@ -103,13 +102,18 @@ def _null_vector(mat: Matrix, ncols: int) -> list[RatFunc] | None:
     return x
 
 
-@dataclass(frozen=True)
-class IndependenceCertificate:
+class IndependenceCertificate(_Record):
     """Outcome of the independence test, with a checkable witness either way."""
 
-    independent: bool
-    columns: tuple[int, ...] | None = None  # 0-based variable indices
-    combination: tuple[RatFunc, ...] | None = None  # b with sum b_i D_i = 0
+    __slots__ = _fields = ("independent", "columns", "combination")
+
+    def __init__(
+        self,
+        independent: bool,
+        columns: tuple[int, ...] | None = None,  # 0-based variable indices
+        combination: tuple[RatFunc, ...] | None = None,  # b with sum b_i D_i = 0
+    ):
+        self._init(independent=independent, columns=columns, combination=combination)
 
     @property
     def verdict(self) -> str:

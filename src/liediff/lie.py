@@ -9,29 +9,30 @@ for the whole field because both sides are derivations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import ArityMismatch, NonConstantStructureConstants, UnknownDerivation, Violation
+from .errors import (
+    ArityMismatch,
+    NonConstantStructureConstants,
+    UnknownDerivation,
+    Violation,
+    _Record,
+)
 from .field import DerivationAction, RatFunc, derive, lincomb
 
 
-@dataclass(frozen=True)
-class StructureConstants:
+class StructureConstants(_Record):
     """The n^3 table alpha[k,l,m] of field elements, stored sparsely: every
     index lies in 1..n, and zero values are dropped on construction."""
 
-    n: int
-    vars: tuple[str, ...]
-    entries: dict
+    __slots__ = _fields = ("n", "vars", "entries")
 
-    def __post_init__(self):
-        for key in self.entries:
-            if not all(1 <= i <= self.n for i in key):
-                raise UnknownDerivation(f"structure-constant index {key} not in 1..{self.n}")
-        object.__setattr__(
-            self, "entries", {key: v for key, v in self.entries.items() if not v.is_zero()}
-        )
+    def __init__(self, n: int, vars: tuple[str, ...], entries: dict):
+        for key in entries:
+            if not all(1 <= i <= n for i in key):
+                raise UnknownDerivation(f"structure-constant index {key} not in 1..{n}")
+        entries = {key: v for key, v in entries.items() if not v.is_zero()}
+        self._init(n=n, vars=vars, entries=entries)
 
     @classmethod
     def zero(cls, n: int, vars) -> "StructureConstants":
@@ -57,17 +58,26 @@ class StructureConstants:
         return all(v.is_const() for v in self.entries.values())
 
 
-@dataclass(frozen=True, eq=False)
-class Presentation:
+class Presentation(_Record):
     """A base field Q(vars) with n derivation actions and structure constants.
-    ``_pbw`` holds the entries of ``ops.PBWTable`` over it, which every call
-    shares; it is left out of the constructor, the repr and
-    ``dataclasses.replace``, which starts with an empty table."""
 
-    vars: tuple[str, ...]
-    derivations: tuple[DerivationAction, ...]
-    alpha: StructureConstants
-    _pbw: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    Equality and hashing are by identity.  ``_pbw`` holds the entries of
+    ``ops.PBWTable`` over the presentation, which every call shares; it is
+    left out of the constructor and the repr, so a new ``Presentation`` over
+    the same parts starts with an empty table."""
+
+    __slots__ = ("vars", "derivations", "alpha", "_pbw")
+    _fields = ("vars", "derivations", "alpha")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        vars: tuple[str, ...],
+        derivations: tuple[DerivationAction, ...],
+        alpha: StructureConstants,
+    ):
+        self._init(vars=vars, derivations=derivations, alpha=alpha, _pbw={})
 
     @property
     def n(self) -> int:

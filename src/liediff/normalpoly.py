@@ -15,14 +15,14 @@ variables and must be substituted away before evaluation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import (
     ArityMismatch,
     NegativeExponent,
     TruncationExceeded,
     UnboundSlot,
+    _Record,
 )
 from .field import RatFunc, SparseSum, _add_to, derive, format_sum
 from .lie import Presentation
@@ -246,15 +246,15 @@ def indices_up_to(n: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class TruncatedExtension:
+class TruncatedExtension(_Record):
     """Finite-order slice of the ring of normal polynomials over a base
     presentation: variables X_I for |I| <= order, derivation actions stored
     for |I| < order."""
 
-    base: Presentation
-    order: int
-    actions: dict
+    __slots__ = _fields = ("base", "order", "actions")
+
+    def __init__(self, base: Presentation, order: int, actions: dict):
+        self._init(base=base, order=order, actions=actions)
 
     def variables(self) -> list[tuple[int, ...]]:
         return indices_up_to(self.base.n, self.order)

@@ -37,7 +37,7 @@ exponential in the length of a word.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from collections.abc import Iterable
 
 from .errors import (
     ArityMismatch,
@@ -50,7 +50,7 @@ from .field import RatFunc, SparseSum, _add_to, derive, format_sum, lincomb
 from .lie import Presentation, StructureConstants, validate_antisymmetry
 
 #: A factor of a composition term: a derivation index (1-based) or a coefficient.
-Factor = Union[int, RatFunc]
+Factor = int | RatFunc
 
 
 def _multi_index(I, n: int) -> tuple:

@@ -22,7 +22,7 @@ x/(D1*x - x*D1) divides by D1(x).
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import ExprSyntaxError, UnknownDerivation, UnknownVariable
 from .field import RatFunc
@@ -31,10 +31,8 @@ from .normalpoly import NormalPoly
 from .ops import NormalOperator, op_mul
 
 
-class _Tok(NamedTuple):
-    kind: str  # "int", "name", or the punctuation itself
-    text: str
-    pos: int
+# kind is "int", "name", or the punctuation itself
+_Tok = namedtuple("_Tok", "kind text pos")
 
 
 _TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([\^+\-*/()\[\],])|(\S)")

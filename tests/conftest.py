@@ -43,6 +43,11 @@ def make_presentation(vars, images, alpha_items):
     return Presentation(vars, actions, StructureConstants.from_entries(n, vars, entries))
 
 
+def cold_copy(p: Presentation) -> Presentation:
+    """A new presentation over p's parts, so with an empty PBW table."""
+    return Presentation(p.vars, p.derivations, p.alpha)
+
+
 @pytest.fixture(scope="session")
 def p1():
     # two derivations with [D1, D2] = D1

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import liediff
 from liediff import PresentationInvalid, SchemaError
 from liediff.cli import load_presentation, main
 from conftest import DATA, GOLDEN
@@ -149,6 +153,73 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", [None, True, 1.5, ["x"]])
+    @pytest.mark.parametrize(
+        "where, field",
+        [
+            pytest.param("image", "the image of y under derivation 2", id="image"),
+            pytest.param("name", "the name of derivation 1", id="name"),
+            pytest.param("alpha", "the value of structure-constant entry (1,2,1)", id="alpha"),
+            pytest.param("matrix", "basis-matrix entry (2,1)", id="matrix"),
+        ],
+    )
+    def test_json_expression_must_be_text(self, capsys, tmp_path, where, field, value):
+        # str() of a JSON null or boolean would read as a variable named None
+        # or True; an integer is still accepted as its own text
+        obj = json.loads((DATA / "p1.json").read_text())
+        matrix = {"entries": [["1", "0"], ["0", "1"]]}
+        if where == "image":
+            obj["derivations"][1]["action"]["y"] = value
+        elif where == "name":
+            obj["derivations"][0]["name"] = value
+        elif where == "alpha":
+            obj["alpha"][0]["value"] = value
+        else:
+            matrix["entries"][1][0] = value
+        pfile, mfile = tmp_path / "p.json", tmp_path / "a.json"
+        pfile.write_text(json.dumps(obj))
+        mfile.write_text(json.dumps(matrix))
+        code = main(["check-commuting", "-p", str(pfile), "-A", str(mfile)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {field} must be a string or an integer, not {value!r}\n"
+
+    def test_non_utf8_file_is_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff{}")
+        code = main(["validate", "-p", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: '{bad}' is not UTF-8 text: ") and "Traceback" not in err
+
+    def test_null_variable_image_is_input_error(self, capsys, tmp_path):
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps({"vars": ["None"], "derivations": [{"action": {"None": None}}]}))
+        code, out = run(capsys, "frobenius", "-p", pfile)
+        assert code == 2 and out == ""
+
+    def test_integer_expressions_accepted(self, capsys, tmp_path):
+        obj = json.loads((DATA / "p1.json").read_text())
+        obj["derivations"][1]["action"]["y"] = 1
+        obj["alpha"][0]["value"] = 1
+        pfile, mfile = tmp_path / "p.json", tmp_path / "a.json"
+        pfile.write_text(json.dumps(obj))
+        mfile.write_text(json.dumps({"entries": [[1, 0], [0, 1]]}))
+        code, out = run(capsys, "check-commuting", "-p", pfile, "-A", mfile)
+        assert (code, out) == (1, (GOLDEN / "check_commuting_identity.txt").read_text())
+
+    @pytest.mark.parametrize("n", ["2", 2.0, True, None])
+    @pytest.mark.parametrize("use", ["matrix", "beta"])
+    def test_non_integer_n_is_schema_error(self, capsys, tmp_path, use, n):
+        # one file that reads as a basis matrix and as structure constants
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps({"n": n, "entries": [["1", "0"], ["0", "1"]], "alpha": []}))
+        identity = str(DATA / "identity.json")
+        files = {"matrix": ["-A", str(f)], "beta": ["-A", identity, "--beta", str(f)]}[use]
+        code = main(["check-basis", "-p", str(DATA / "p1.json"), *files])
+        assert code == 2
+        assert capsys.readouterr().err == "error: 'n' must be an integer\n"
+
     def test_no_validate_override(self, capsys):
         code, out = run(
             capsys, "normalize", "-p", DATA / "p1_noalpha.json", "--no-validate", "D2*D1"
@@ -272,3 +343,19 @@ class TestCommands:
             capsys, "check-axiom2", "-p", DATA / "p1.json", "-A", DATA / "identity.json"
         )
         assert code == 1 and out.strip() == "false"
+
+
+def test_cli_imports_a_lean_module_graph():
+    # every CLI call is a fresh process that pays for what the import loads;
+    # -S keeps site-installed packages from loading these modules first
+    src = str(Path(liediff.__file__).parent.parent)
+    heavy = ["dataclasses", "inspect", "pathlib", "typing"]
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import liediff.cli; "
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    r = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"

@@ -5,10 +5,15 @@ from itertools import product
 import pytest
 
 from liediff import (
+    DerivationAction,
+    IndependenceCertificate,
     NonConstantStructureConstants,
+    Presentation,
     RatFunc,
     StructureConstants,
+    TruncatedExtension,
     UnknownDerivation,
+    Violation,
     check_presentation,
     derive,
     validate_antisymmetry,
@@ -189,3 +194,85 @@ class TestGeneratorSufficiency:
                         if not c.is_zero():
                             rhs = rhs + c * derive(p.derivation(m), f)
                     assert lhs == rhs
+
+
+# One of each frozen record, built by keyword, with a second record that
+# differs in one compared field, the repr, and whether it hashes: by value,
+# by identity (a presentation), or not at all (a record holding a dict).
+X = ("x",)
+D_X = DerivationAction(name="D", vars=X, images=(RatFunc.const(X, 1),))
+P_X = Presentation(vars=X, derivations=(D_X,), alpha=StructureConstants.zero(1, X))
+P_X_REPR = (
+    "Presentation(vars=('x',), derivations=(DerivationAction(name='D', vars=('x',), "
+    "images=(RatFunc(1),)),), alpha=StructureConstants(n=1, vars=('x',), entries={}))"
+)
+RECORDS = [
+    pytest.param(
+        lambda: Violation(where="w", residual=3),
+        lambda: Violation(where="w"),
+        "Violation(where='w', residual=3)",
+        "value",
+        id="Violation",
+    ),
+    pytest.param(
+        lambda: DerivationAction(name="D", vars=X, images=(RatFunc.const(X, 1),)),
+        lambda: DerivationAction(name="D", vars=X, images=(RatFunc.const(X, 2),)),
+        "DerivationAction(name='D', vars=('x',), images=(RatFunc(1),))",
+        "value",
+        id="DerivationAction",
+    ),
+    pytest.param(
+        lambda: StructureConstants(n=1, vars=X, entries={(1, 1, 1): RatFunc.const(X, 1)}),
+        lambda: StructureConstants(n=1, vars=X, entries={(1, 1, 1): RatFunc.zero(X)}),
+        "StructureConstants(n=1, vars=('x',), entries={(1, 1, 1): RatFunc(1)})",
+        "unhashable",
+        id="StructureConstants",
+    ),
+    pytest.param(
+        lambda: Presentation(vars=X, derivations=(D_X,), alpha=StructureConstants.zero(1, X)),
+        lambda: P_X,
+        P_X_REPR,
+        "identity",
+        id="Presentation",
+    ),
+    pytest.param(
+        lambda: IndependenceCertificate(independent=True, columns=(0,)),
+        lambda: IndependenceCertificate(independent=True, columns=(1,)),
+        "IndependenceCertificate(independent=True, columns=(0,), combination=None)",
+        "value",
+        id="IndependenceCertificate",
+    ),
+    pytest.param(
+        lambda: TruncatedExtension(base=P_X, order=1, actions={}),
+        lambda: TruncatedExtension(base=P_X, order=2, actions={}),
+        f"TruncatedExtension(base={P_X_REPR}, order=1, actions={{}})",
+        "unhashable",
+        id="TruncatedExtension",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, make_other, text, hashing", RECORDS)
+def test_record_value_semantics(make, make_other, text, hashing):
+    a, b, other = make(), make(), make_other()
+    assert repr(a) == repr(b) == text
+    assert a == a and not a != a
+    assert a != other and not a == other
+    assert a != text
+    if hashing == "identity":
+        assert a != b and hash(a) != hash(b) and hash(a) == hash(a)
+    elif hashing == "value":
+        assert a == b and not a != b and hash(a) == hash(b)
+    else:
+        assert a == b
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(a)
+    field = text[text.index("(") + 1 : text.index("=")]
+    before = repr(a)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(a, field, None)
+    with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
+        a.extra = None
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(a, field)
+    assert repr(a) == before

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import threading
 
@@ -29,7 +28,7 @@ from liediff import (
 )
 from liediff import normalpoly, ops
 from liediff.normalpoly import x_action
-from conftest import rand_npoly, rand_poly, rand_ratfunc
+from conftest import cold_copy, rand_npoly, rand_poly, rand_ratfunc
 
 
 def np_(text, pres):
@@ -123,7 +122,7 @@ class TestXAction:
     def test_negative_index_fails_fast(self, p_nc):
         # (-1, 2) once sent the table's fill loop into an endless descent;
         # the check must reject it before the key reaches the table
-        pres = dataclasses.replace(p_nc)
+        pres = cold_copy(p_nc)
         raised = []
 
         def act():

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import sys
 import threading
@@ -12,6 +11,7 @@ from liediff import (
     NormalOperator,
     NormalPoly,
     OpWord,
+    Presentation,
     RatFunc,
     UnknownDerivation,
     UnknownVariable,
@@ -28,7 +28,7 @@ from liediff import (
 )
 from liediff.normalpoly import x_action
 from liediff.ops import PBWTable
-from conftest import make_presentation, rand_poly, rand_word, word
+from conftest import cold_copy, make_presentation, rand_poly, rand_word, word
 
 
 def rf(text, pres):
@@ -76,7 +76,7 @@ class TestNormalize:
         # fully inverted word with interleaved coefficients, on a copy of
         # heis with a cold table, so that the count does not depend on the
         # tests that ran before
-        pres = dataclasses.replace(p_heis)
+        pres = cold_copy(p_heis)
         z = rf("z", pres)
         w = OpWord(pres.vars, 3, [(3, z, 2, z, 1)])
         stats = {}
@@ -106,7 +106,7 @@ class TestLongWords:
         assert got == mono(p1, (1500, 1)) + mono(p1, (1500, 0), "-1500")
 
     def test_scaling_word_is_sound_and_fast(self, p1):
-        pres = dataclasses.replace(p1)  # a cold table: time every entry
+        pres = cold_copy(p1)  # a cold table: time every entry
         w = word(pres, (2, 1) * 10)
         rng = random.Random(106)
         polys = [RatFunc.from_poly(rand_poly(rng, pres.vars, 3)) for _ in range(20)]
@@ -143,7 +143,7 @@ class TestExpressionPowers:
     def test_sum_power_matches_iterated_application(self, p1):
         # (D1+D2)^30 expanded as words would have 2^30 terms; a cold table
         # times every entry
-        pres = dataclasses.replace(p1)
+        pres = cold_copy(p1)
         start = time.perf_counter()
         got = parse_operator_expr("(D1+D2)^30", pres)
         base = mono(pres, (1, 0)) + mono(pres, (0, 1))
@@ -191,7 +191,7 @@ class TestSharedTable:
     # every call over one presentation reads and fills its PBW table
 
     def test_repeated_word_adds_no_entries(self, p_heis):
-        pres = dataclasses.replace(p_heis)
+        pres = cold_copy(p_heis)
         w = word(pres, (3, "z", 2, "z", 1), (2, 1, 3))
         first, again = {}, {}
         got = normalize(w, pres, stats=first)
@@ -203,12 +203,12 @@ class TestSharedTable:
     def test_calls_share_the_table(self, p_nc):
         # the parser, op_mul, fresh_extension and x_action over one
         # presentation fill one table: a repeated call adds nothing
-        pres = dataclasses.replace(p_nc)
+        pres = cold_copy(p_nc)
         got = parse_operator_expr("(D2*D1)^3", pres)
         size = len(pres._pbw)
         assert parse_operator_expr("(D2*D1)^3", pres) == got
         assert len(pres._pbw) == size
-        assert op_mul(got, got, pres) == normalize(word(pres, (2, 1) * 6), dataclasses.replace(p_nc))
+        assert op_mul(got, got, pres) == normalize(word(pres, (2, 1) * 6), cold_copy(p_nc))
         ext = fresh_extension(pres, 3)
         size = len(pres._pbw)
         for (i, I), q in ext.actions.items():
@@ -216,7 +216,7 @@ class TestSharedTable:
         assert len(pres._pbw) == size
 
     def test_fresh_extension_adds_only_the_next_order(self, p_heis):
-        pres = dataclasses.replace(p_heis)
+        pres = cold_copy(p_heis)
         fresh_extension(pres, 2)
         before = set(pres._pbw)
         assert all(sum(I) <= 1 for _, I in before)
@@ -237,7 +237,7 @@ class TestSharedTable:
         ],
     )
     def test_bad_keys_raise_and_are_not_stored(self, p_nc, key, error):
-        pres = dataclasses.replace(p_nc)
+        pres = cold_copy(p_nc)
         PBWTable(pres).entry(2, (1, 1))
         raised = []
 
@@ -254,12 +254,13 @@ class TestSharedTable:
         assert key not in pres._pbw
 
     def test_replace_starts_an_empty_table(self, p1, p_abelian):
-        pres = dataclasses.replace(p1)
+        pres = cold_copy(p1)
+        assert pres._pbw == {}
         w = word(pres, (2, 1))
         assert normalize(w, pres) == mono(pres, (1, 1)) + mono(pres, (1, 0), "-1")
         assert pres._pbw and "_pbw" not in repr(pres)
         # a table carried over from p1 would still add the bracket term
-        q = dataclasses.replace(pres, derivations=p_abelian.derivations, alpha=p_abelian.alpha)
+        q = Presentation(pres.vars, p_abelian.derivations, p_abelian.alpha)
         assert q._pbw == {} and repr(q) == repr(p_abelian)
         assert normalize(w, q) == mono(q, (1, 1))
 
@@ -485,12 +486,12 @@ def test_shared_values_are_thread_safe(p_nc, p_heis):
     for pres, seed in ((p_nc, 105), (p_heis, 106)):
         rng = random.Random(seed)
         words = _prefixed_words(rng, pres, 16)
-        ref = dataclasses.replace(pres)
+        ref = cold_copy(pres)
         serial = [normalize(w, ref) for w in words]
         for w, nf in zip(words[:4], serial):
             assert nf == rewrite_normalize(w, pres)
         for _ in range(3):
-            cold = dataclasses.replace(pres)
+            cold = cold_copy(pres)
             start = threading.Barrier(4)
             orders = [rng.sample(range(len(words)), len(words)) for _ in range(4)]
 
