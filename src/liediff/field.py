@@ -598,14 +598,13 @@ def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
     return mpoly_cofactors(f, g)[0]
 
 
-def _poly_lcm(a: MPoly, b: MPoly) -> MPoly:
-    """Least common multiple of two nonzero integer polynomials with positive
-    leading coefficients, integer content included: _poly_lcm(2x, 4) = 4x."""
-    if b._is_one() or a == b:
+def _poly_times(a: MPoly, b: MPoly) -> MPoly:
+    # a*b, skipping the product by a unit factor
+    if b._is_one():
         return a
     if a._is_one():
         return b
-    return a * mpoly_cofactors(a, b)[2]
+    return a * b
 
 
 @lru_cache(maxsize=256)
@@ -914,8 +913,10 @@ def ratfunc_normalize(num: MPoly, den: MPoly) -> RatFunc:
 def common_denominator(xs: Sequence[RatFunc], vars) -> tuple[list[MPoly], MPoly]:
     """(nums, den) with den the lcm of the denominators of xs, a unit when xs
     is empty, and xs[j] = nums[j] / den."""
-    den = reduce(_poly_lcm, (x.den for x in xs), _unit(vars))
-    return [x.num if x.den == den else x.num * divexact(den, x.den) for x in xs], den
+    if not xs:
+        return [], _unit(vars)
+    den, cofactors = _lcm_cofactors([x.den for x in xs])
+    return [_poly_times(x.num, c) for x, c in zip(xs, cofactors)], den
 
 
 class DerivationAction(_Record):
@@ -947,8 +948,13 @@ def derive(action: DerivationAction, f: RatFunc) -> RatFunc:
     Leibniz on products, quotient rule on fractions, zero on constants.
 
     With the images over their common denominator Q, D(N) = D'(N) / Q for
-    D'(N) = sum_j d_jN * P_j, and D(N/R) = (R*D'(N) - N*D'(R)) / (Q*R^2); each
-    numerator is one integer-coefficient sum, normalized once."""
+    D'(N) = sum_j d_jN * P_j, one integer-coefficient sum.  For a fraction
+    N/R, take g = gcd(R, D'R) with R = g*R1 and D'R = g*S1; the quotient
+    rule gives D(N/R) = (R1*D'N - N*S1) / (Q*g*R1^2).  That numerator is
+    coprime to R1, since gcd(N, R) = 1 and gcd(R1, S1) = 1 (Bronstein,
+    *Symbolic Integration I*), so only a factor of Q*g can cancel, and no
+    gcd is taken when Q*g is a constant.  D'R = 0 needs no branch of its
+    own: mpoly_cofactors(R, 0) takes no gcd and gives g = R, R1 = 1, S1 = 0."""
     if f.vars != action.vars:
         raise UnknownVariable("value and derivation are over different variables")
     q, r = action.den, f.den
@@ -956,7 +962,15 @@ def derive(action: DerivationAction, f: RatFunc) -> RatFunc:
     if r._is_one():
         # an integer-coefficient polynomial over 1 is canonical already
         return RatFunc(dn, q) if q._is_one() else ratfunc_normalize(dn, q)
-    return ratfunc_normalize(r * dn - f.num * _derive_poly(action, r), q * r * r)
+    dr = _derive_poly(action, r)
+    g, r1, s1 = mpoly_cofactors(r, dr)
+    num = r1 * dn - f.num * s1
+    if num.is_zero():
+        return RatFunc.zero(f.vars)
+    qg = _poly_times(q, g)
+    if not qg.is_const():
+        _, num, qg = mpoly_cofactors(num, qg)
+    return _canonical_scale(num, qg * r1 * r1)
 
 
 def _derive_poly(action: DerivationAction, p: MPoly) -> MPoly:
@@ -986,10 +1000,12 @@ def lincomb(pairs: Iterable[tuple[RatFunc, RatFunc]], vars: Sequence[str]) -> Ra
     """The field element sum a*b over the (a, b) in pairs, normalized once.
 
     The products are taken unreduced and grouped by denominator, so that
-    equal denominators just add their numerators; the groups are then merged
-    over the lcm of their denominators, found through their gcds, and the sum
-    is reduced by a single ``ratfunc_normalize``.  A factor over another
-    variable tuple raises ``UnknownVariable``, as ``*`` does."""
+    equal denominators just add their numerators.  The lcm L of the group
+    denominators is found before any numerator is touched
+    (``_lcm_cofactors``); each group's numerator times its cofactor L/d is
+    then added into one sum, which a single ``ratfunc_normalize`` reduces.
+    A single group skips the merge.  A factor over another variable tuple
+    raises ``UnknownVariable``, as ``*`` does."""
     vars = tuple(vars)
     both = (vars, vars)
     groups: dict[MPoly, dict] = {}
@@ -1005,20 +1021,55 @@ def lincomb(pairs: Iterable[tuple[RatFunc, RatFunc]], vars: Sequence[str]) -> Ra
         else:
             den = a.den * b.den
         _mul_into(groups.setdefault(den, {}), a.num.terms, b.num.terms)
-    num = den = None
-    for d, t in groups.items():
-        if not t:
-            continue
-        # canonical numerators have int coefficients and _mul_into drops zeros
-        n = _mpoly(vars, t)
-        if den is None:
-            num, den = n, d
-            continue
-        _, a, b = mpoly_cofactors(den, d)
-        num, den = num * b + n * a, a * d
-    if num is None:
+    # canonical numerators have int coefficients and _mul_into drops zeros
+    nonzero = [(d, t) for d, t in groups.items() if t]
+    if not nonzero:
         return RatFunc.zero(vars)
+    if len(nonzero) == 1:
+        ((den, t),) = nonzero
+    else:
+        den, cofactors = _lcm_cofactors([d for d, _ in nonzero])
+        t = {}
+        for (_, n), c in zip(nonzero, cofactors):
+            _mul_into(t, n, c.terms)
+        if not t:
+            return RatFunc.zero(vars)
+    num = _mpoly(vars, t)
     return RatFunc(num, den) if den._is_one() else ratfunc_normalize(num, den)
+
+
+def _lcm_cofactors(dens: list[MPoly]) -> tuple[MPoly, list[MPoly]]:
+    """(L, [L/d for d in dens]) for L the lcm of one or more integer
+    polynomials with positive leading coefficients, integer content
+    included: _lcm_cofactors([2x, 4]) gives L = 4x.
+
+    When every d is a power product c*x^a, L = lcm(c)*x^max(a) and each
+    cofactor is an integer times an exponent shift: no gcd is taken.
+    Otherwise a cofactor chain runs over the denominators alone:
+    (_, b_i, g_i) = mpoly_cofactors(L_(i-1), d_i) and L_i = L_(i-1)*g_i =
+    b_i*d_i, so L/d_i = b_i * g_(i+1) * ... * g_k, built with suffix
+    products."""
+    vars = dens[0].vars
+    if all(len(d.terms) == 1 for d in dens):
+        mons = [next(iter(d.terms.items())) for d in dens]
+        c = _ilcm(*(k for _, k in mons))
+        a = tuple(map(max, zip(*(e for e, _ in mons))))
+        # all units (polynomial images) keep the shared denominator 1
+        L = _unit(vars) if c == 1 and not any(a) else _mpoly(vars, {a: c})
+        return L, [_mpoly(vars, {tuple(map(sub, a, e)): c // k}) for e, k in mons]
+    one = _unit(vars)
+    L, bs, gs = dens[0], [one], [one]
+    for d in dens[1:]:
+        _, b, g = mpoly_cofactors(L, d)
+        bs.append(b)
+        gs.append(g)
+        L = _poly_times(L, g)
+    cofactors, suffix = [], one
+    for b, g in zip(reversed(bs), reversed(gs)):
+        cofactors.append(_poly_times(b, suffix))
+        suffix = _poly_times(g, suffix)
+    cofactors.reverse()
+    return L, cofactors
 
 
 def coordinate_delta(vars: Sequence[str], i: int) -> DerivationAction:

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .field import RatFunc, SparseSum, _add_to, derive, format_sum
 from .lie import Presentation
-from .ops import PBWTable, _multi_index, _times
+from .ops import PBWTable, _multi_index, _times, _derivatives
 
 # A generator is a multi-index (tuple of ints) for X_I or a string for a slot.
 
@@ -181,20 +181,7 @@ def eval_hom(q: NormalPoly, b: RatFunc, p: Presentation) -> RatFunc:
         raise UnboundSlot(f"unsubstituted slots {sorted(slots)}")
     if q.n != p.n:
         raise ArityMismatch("normal polynomial arity differs from the presentation")
-    # D^I b = D_l(D^(I - e_l) b) for the first l with I_l > 0, from the cache
-    cache: dict = {(0,) * p.n: b}
-
-    def dvalue(I) -> RatFunc:
-        chain = []
-        while I not in cache:
-            l = next(i for i, e in enumerate(I) if e)
-            chain.append((I, l))
-            I = I[:l] + (I[l] - 1,) + I[l + 1 :]
-        v = cache[I]
-        for J, l in reversed(chain):
-            v = cache[J] = derive(p.derivations[l], v)
-        return v
-
+    dvalue = _derivatives(p, b)
     out = RatFunc.zero(p.vars)
     for m, c in q.terms.items():
         v = c

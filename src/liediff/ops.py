@@ -403,13 +403,45 @@ def op_commutator(a: NormalOperator, b: NormalOperator, p: Presentation) -> Norm
     return op_mul(a, b, p) - op_mul(b, a, p)
 
 
+def _derivatives(p: Presentation, b: RatFunc):
+    """The function I -> D^I b = D1^i1 * ... * Dn^in (b).  Each D^I b is
+    derived once, as D_l(D^(I - e_l) b) for the first l with I_l > 0, and
+    kept for the lifetime of the function."""
+    cache: dict = {(0,) * p.n: b}
+
+    def dvalue(I) -> RatFunc:
+        chain = []
+        while I not in cache:
+            l = next(i for i, e in enumerate(I) if e)
+            chain.append((I, l))
+            I = I[:l] + (I[l] - 1,) + I[l + 1 :]
+        v = cache[I]
+        for J, l in reversed(chain):
+            v = cache[J] = derive(p.derivations[l], v)
+        return v
+
+    return dvalue
+
+
 def apply_operator(a: NormalOperator | OpWord, f: RatFunc, p: Presentation) -> RatFunc:
-    """Apply an operator to a field element by repeated derivation."""
+    """Apply an operator to a field element.
+
+    A normal operator sum_I c_I * D^I takes each D^I f from ``_derivatives``,
+    so that every prefix is derived once, and sums the c_I * D^I f with one
+    ``lincomb``; a one-term operator takes its single product directly.  An
+    ``OpWord`` is the reference: each term acts factor by factor from the
+    right, and the terms are added."""
     _check_word(a, p)
     if f.vars != p.vars:
         raise UnknownVariable("argument over a different variable tuple")
+    if isinstance(a, NormalOperator):
+        dvalue = _derivatives(p, f)
+        if len(a.terms) == 1:
+            ((I, c),) = a.terms.items()
+            return _times(c, dvalue(I))
+        return lincomb([(c, dvalue(I)) for I, c in a.terms.items()], p.vars)
     out = RatFunc.zero(p.vars)
-    for term in _words(a):
+    for term in a.terms:
         g = f
         for fac in reversed(term):
             if isinstance(fac, int):

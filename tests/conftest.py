@@ -140,6 +140,21 @@ def rand_npoly(rng, pres, max_order: int = 2, nterms: int = 3, coeff_deg: int = 
     return out
 
 
+def quotient_rule_reference(D: DerivationAction, f: RatFunc) -> RatFunc:
+    """The reference for ``derive``: the quotient rule over the images'
+    common denominator Q, reduced by one full gcd,
+    D(N/R) = ratfunc_normalize(R*D'N - N*D'R, Q*R*R), where
+    D'p = sum_j d_jp * P_j is built from formal partial derivatives."""
+    def dprime(p: MPoly) -> MPoly:
+        out = MPoly.zero(p.vars)
+        for j, pj in enumerate(D.nums):
+            out = out + p.partial(j) * pj
+        return out
+
+    n, r = f.num, f.den
+    return ratfunc_normalize(r * dprime(n) - n * dprime(r), D.den * r * r)
+
+
 def field_zero(pres) -> RatFunc:
     return RatFunc.zero(pres.vars)
 

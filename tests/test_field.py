@@ -362,7 +362,11 @@ class TestDerivationAction:
         for im, num in zip(D.images, D.nums):
             assert ratfunc_normalize(num, D.den) == im
         polynomial = DerivationAction("D", VARS, (rf("x"), rf("0")))
-        assert polynomial.den == MPoly.const(VARS, 1)
+        # polynomial images keep the denominator object every polynomial
+        # field element shares, and so do the derivatives taken with them
+        unit = RatFunc.zero(VARS).den
+        assert polynomial.den is unit
+        assert derive(polynomial, rf("x^2*y")).den is unit
 
     def test_cached_fields_leave_equality_hash_and_repr(self):
         def make():
@@ -391,6 +395,35 @@ class TestLincomb:
 
     def test_variables_as_list(self):
         assert lincomb([(rf("x"), rf("1/y"))], list(VARS)) == rf("x/y")
+
+    def test_power_product_denominators_take_one_gcd(self, gcd_calls):
+        # denominators c*x^a, as heis's 2*z^2 and x: their lcm is an integer
+        # lcm and an exponent maximum, so only the final normalization may
+        # take a gcd
+        pairs = [
+            (rf("1/(2*y^2)"), rf("x + y")),
+            (rf("y/x"), rf("3")),
+            (rf("1/(x*y^2)"), rf("x - 1")),
+            (rf("x/(3*y)"), rf("y/x")),
+        ]
+        want = RatFunc.zero(VARS)
+        for a, b in pairs:
+            want = want + a * b
+        gcd_calls.clear()
+        assert lincomb(pairs, VARS) == want
+        assert len(gcd_calls) <= 1
+
+    def test_cofactor_chain_takes_one_gcd_per_group(self, gcd_calls):
+        # general denominators: one gcd per group after the first, each
+        # against the lcm so far, and one for the final normalization
+        pairs = [(rf("1/(x + 1)"), rf("y")), (rf("1/(x + 1)^2"), rf("x")),
+                 (rf("1/(x*y + 1)"), rf("1")), (rf("x/(x + 1)"), rf("1/y"))]
+        want = RatFunc.zero(VARS)
+        for a, b in pairs:
+            want = want + a * b
+        gcd_calls.clear()
+        assert lincomb(pairs, VARS) == want
+        assert len(gcd_calls) == 4
 
 
 class TestUnitDenominator:

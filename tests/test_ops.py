@@ -27,6 +27,7 @@ from liediff import (
     rewrite_normalize,
 )
 from liediff.normalpoly import x_action
+from liediff import ops
 from liediff.ops import PBWTable
 from conftest import cold_copy, make_presentation, rand_poly, rand_word, word
 
@@ -348,6 +349,23 @@ class TestApply:
     def test_zero_operator(self, p1):
         got = apply_operator(NormalOperator.zero(p1.vars, p1.n), rf("x^2", p1), p1)
         assert got.is_zero()
+
+    def test_each_derivative_taken_once(self, p1, monkeypatch):
+        # D1^2, D1*D2 and D1 share the prefixes D1 f and D2 f: four
+        # derivations in all, where term by term takes five
+        op = parse_operator_expr("D1^2 + (1/x)*D1*D2 - y*D1 + 1", p1)
+        f = rf("(x^2 + y)/(x - y + 1)", p1)
+        want = apply_operator(OpWord(p1.vars, p1.n, ops._words(op)), f, p1)
+        calls = []
+        real = ops.derive
+
+        def counting(D, g):
+            calls.append(D.name)
+            return real(D, g)
+
+        monkeypatch.setattr(ops, "derive", counting)
+        assert apply_operator(op, f, p1) == want
+        assert sorted(calls) == ["D1", "D1", "D1", "D2"]
 
     @pytest.mark.parametrize("n, I", [(3, (0, 0, 1)), (1, (1,))])
     def test_operator_arity_checked(self, p1, n, I):

@@ -7,7 +7,10 @@ constructors build what the validating ones build, the field arithmetic and
 derivations obey their
 axioms on three-variable fractions, and
 derivation over one common denominator and the one-normalization sum of
-products agree with their pairwise references, and the bracket table
+products agree with their pairwise references, ``lincomb`` agrees with the
+plain sum on each kind of denominator, ``derive`` with the quotient rule
+reduced by one full gcd, and ``apply_operator`` on a normal operator with
+the same operator written as an ``OpWord``, and the bracket table
 computed once per unordered pair agrees with every ordered pair computed
 from the formula."""
 
@@ -28,6 +31,7 @@ from liediff import (  # noqa: E402
     OpWord,
     RatFunc,
     StructureConstants,
+    apply_operator,
     derive,
     divexact,
     lincomb,
@@ -40,7 +44,7 @@ from liediff import (  # noqa: E402
     validate_antisymmetry,
 )
 from liediff import NormalOperator, NormalPoly, op_mul, ops  # noqa: E402
-from conftest import cold_copy, rand_npoly  # noqa: E402
+from conftest import cold_copy, quotient_rule_reference, rand_npoly  # noqa: E402
 from liediff.field import mpoly_cofactors  # noqa: E402
 
 
@@ -558,6 +562,13 @@ def test_derive_equals_pairwise_random_images(data):
     _derive_agrees(D, data.draw(ratfuncs(XYZ)), data.draw(ratfuncs(XYZ)))
 
 
+def _plain_sum(pairs) -> RatFunc:
+    out = RatFunc.zero(XYZ)
+    for a, b in pairs:
+        out = out + a * b
+    return out
+
+
 @PROPERTY
 @given(data=st.data())
 def test_lincomb_equals_pairwise_sum(data):
@@ -565,13 +576,163 @@ def test_lincomb_equals_pairwise_sum(data):
     pool = data.draw(st.lists(ratfuncs(XYZ), min_size=1, max_size=4))
     index = st.integers(0, len(pool) - 1)
     pairs = [(pool[i], pool[j]) for i, j in data.draw(st.lists(st.tuples(index, index), max_size=6))]
-    ref = RatFunc.zero(XYZ)
-    for a, b in pairs:
-        ref = ref + a * b
+    ref = _plain_sum(pairs)
     assert lincomb(pairs, XYZ) == ref
     if pairs:
         a, b = pairs[0]
         assert lincomb(pairs + [(-a, b)], XYZ) == ref - a * b
+
+
+# -- lincomb against the plain RatFunc sum, by kind of denominator ----------
+
+
+def _over(dens):
+    # fractions whose denominators divide the drawn ones: normalizing keeps
+    # a power product a power product and a constant a constant
+    return st.builds(ratfunc_normalize, polys(XYZ), dens)
+
+
+#: Denominators c*x^a: the lcm is an integer lcm and an exponent maximum.
+POWER_PRODUCTS = st.builds(
+    lambda c, e: MPoly(XYZ, {e: c}), st.integers(1, 4), st.tuples(*[st.integers(0, 2)] * 3))
+#: Denominators with shared and squared factors, mixed with power products.
+MIXED = st.sampled_from([
+    parse_field_expr(s, XYZ).num
+    for s in ("x", "2*z^2", "x + 1", "(x + 1)^2", "y*(x + 1)", "x - y", "(x - y)^2*z", "x*y + 1")
+])
+CONSTANTS = st.integers(1, 6).map(lambda c: MPoly.const(XYZ, c))
+DENOMINATOR_KINDS = {"power products": POWER_PRODUCTS, "mixed": MIXED, "constants": CONSTANTS}
+
+
+@PROPERTY
+@given(data=st.data(), kind=st.sampled_from(sorted(DENOMINATOR_KINDS)))
+def test_lincomb_equals_plain_sum_by_denominator_kind(data, kind):
+    fractions = _over(DENOMINATOR_KINDS[kind])
+    pairs = data.draw(st.lists(st.tuples(fractions, fractions), min_size=1, max_size=6))
+    assert lincomb(pairs, XYZ) == _plain_sum(pairs)
+
+
+@PROPERTY
+@given(data=st.data(), den=st.one_of(MIXED, POWER_PRODUCTS))
+def test_lincomb_equal_denominators(data, den):
+    # every product lies over den itself: one group, no lcm to find
+    over = RatFunc.from_poly(den).reciprocal()
+    nums = data.draw(st.lists(polys(XYZ), min_size=1, max_size=5))
+    pairs = [(RatFunc.from_poly(n), over) for n in nums]
+    assert lincomb(pairs, XYZ) == _plain_sum(pairs)
+
+
+@PROPERTY
+@given(data=st.data(), kind=st.sampled_from(sorted(DENOMINATOR_KINDS)))
+def test_lincomb_cancels_to_zero(data, kind):
+    fractions = _over(DENOMINATOR_KINDS[kind])
+    pairs = data.draw(st.lists(st.tuples(fractions, fractions), min_size=1, max_size=4))
+    negated = [(-a, b) for a, b in pairs]
+    assert lincomb(pairs + negated[::-1], XYZ).is_zero()
+    # a sum that cancels in its numerators only, over several groups
+    assert lincomb(pairs + negated + pairs, XYZ) == _plain_sum(pairs)
+
+
+@PROPERTY
+@given(data=st.data(), kind=st.sampled_from(sorted(DENOMINATOR_KINDS)))
+def test_lincomb_one_group(data, kind):
+    a, b = (data.draw(_over(DENOMINATOR_KINDS[kind])) for _ in range(2))
+    assert lincomb([(a, b)], XYZ) == a * b
+    assert lincomb([(a, b), (b, a)], XYZ) == a * b + b * a
+
+
+# -- derive against the quotient rule reduced by one full gcd ---------------
+
+
+#: Actions whose images have a nonconstant common denominator Q; the tests
+#: below also take the conftest presentations' actions (Q = 1 on p_nc,
+#: Q = 2 on heis).
+NONCONSTANT_Q = [
+    ("1/x", "0", "0"),
+    ("y/(x*(x+1))", "1/(x+1)^2", "0"),
+    ("0", "x/z", "1/z^2"),
+]
+
+
+def _derive_equals_reference(D, f):
+    assert derive(D, f) == quotient_rule_reference(D, f)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_derive_equals_reference_repeated_factors(p_heis, data):
+    # R = h^2 * k: gcd(R, D'R) is at least h, so g is nontrivial
+    h, k = (data.draw(polys(XYZ, max_size=2).filter(lambda p: not p.is_const())) for _ in range(2))
+    f = ratfunc_normalize(data.draw(polys(XYZ)), h * h * k)
+    for D in (*p_heis.derivations, *map(_action, NONCONSTANT_Q + SHARED_DENOMINATORS)):
+        _derive_equals_reference(D, f)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_derive_equals_reference_free_denominator(data):
+    # a denominator over y and z, under an action that sees x alone: D'R = 0
+    D = _action(("x + 1", "0", "0"))
+    R = data.draw(polys(("y", "z"), max_size=2).filter(lambda p: not p.is_zero()))
+    R = MPoly(XYZ, {(0, *e): c for e, c in R.terms.items()})
+    f = ratfunc_normalize(data.draw(polys(XYZ)), R)
+    _derive_equals_reference(D, f)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_derive_equals_reference_presentations(p_nc, p_heis, data):
+    f = data.draw(ratfuncs(XYZ))
+    for D in (*p_heis.derivations, *map(_action, NONCONSTANT_Q)):
+        _derive_equals_reference(D, f)
+    g = data.draw(ratfuncs(p_nc.vars))
+    for D in p_nc.derivations:
+        _derive_equals_reference(D, g)
+
+
+def test_derive_reference_cases():
+    x_only, over_x = _action(("1", "0", "0")), _action(("1/x", "0", "0"))
+    cases = [
+        # D'R = 0: R is free of x, and the only gcd is against Q*R
+        (x_only, "x^2/(y + 1)", "2*x/(y + 1)"),
+        # a repeated factor: g = (x + 1)*y, and y cancels from Q*g
+        (x_only, "((x + 1)^2 + y)/((x + 1)^2*y)", "-2/(x + 1)^3"),
+        # Q = x cancels against the numerator x*2 of D'(x^2)
+        (over_x, "x^2/(y + 1)", "2/(y + 1)"),
+        # Q = x and g = x + 1 both stay
+        (over_x, "y/(x + 1)^2", "-2*y/(x*(x + 1)^3)"),
+    ]
+    for D, f, want in cases:
+        f, want = parse_field_expr(f, XYZ), parse_field_expr(want, XYZ)
+        assert derive(D, f) == quotient_rule_reference(D, f) == want
+
+
+# -- apply_operator: the normal-operator path against the OpWord reference ---
+
+
+def _apply_agrees(pres, data):
+    nf = normalize(data.draw(words(pres)), pres)
+    f = data.draw(ratfuncs(pres.vars).filter(lambda f: not f.den.is_const()))
+    as_word = OpWord(pres.vars, pres.n, ops._words(nf))
+    assert apply_operator(nf, f, pres) == apply_operator(as_word, f, pres)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_apply_normal_operator_equals_word_p1(p1, data):
+    _apply_agrees(p1, data)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_apply_normal_operator_equals_word_nonconstant_alpha(p_nc, data):
+    _apply_agrees(p_nc, data)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_apply_normal_operator_equals_word_heisenberg(p_heis, data):
+    _apply_agrees(p_heis, data)
 
 
 # -- bracket tables: one computation per unordered pair against every pair ---
