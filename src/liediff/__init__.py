@@ -11,6 +11,7 @@ extension.  All arithmetic is exact over Q(x1,...,xt).
 from .errors import (
     ArityMismatch,
     CommutationFailure,
+    DegreeOverflow,
     DivisionByZero,
     ExprSyntaxError,
     IndexOutOfRange,

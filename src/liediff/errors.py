@@ -68,12 +68,18 @@ class ArityMismatch(LieDiffError):
 
 
 class InvalidMultiIndex(LieDiffError):
-    """A multi-index has an entry that is not a nonnegative int."""
+    """A multi-index has an entry that is not a nonnegative int, or a
+    polynomial exponent one that is not an int."""
 
 
 class NegativeExponent(LieDiffError):
-    """A polynomial or normal polynomial was raised to a negative power;
-    only field elements have inverses."""
+    """A polynomial or normal polynomial was raised to a negative power, or
+    a polynomial exponent is negative; only field elements have inverses."""
+
+
+class DegreeOverflow(LieDiffError):
+    """A polynomial's total degree would reach 2^31, the ceiling of the
+    packed monomial layout."""
 
 
 class NotConstant(LieDiffError):

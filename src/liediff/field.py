@@ -6,12 +6,22 @@ has no common polynomial factor, and the denominator's leading coefficient
 under graded lex is positive.  Equal field elements therefore have identical
 representations, so equality is structural.
 
+An ``MPoly`` keys each monomial by one int, ``deg << B*t | e1 << B*(t-1) |
+... | et`` with B = 32-bit fields and the total degree in the top field
+(packed exponents, after Monagan and Pearce, CASC 2007).  Integer order is
+graded lex and a product of monomials is a sum of keys.  No total degree may
+reach the ceiling 2^31 (``DegreeOverflow``), so the top (guard) bit of every
+field stays clear and g divides f exactly when ``((f | G) - g) & G == G``,
+G the exponent fields' guard bits.  ``MPoly(vars, terms)`` packs exponent
+tuples; ``MPoly.terms`` unpacks them into a new dict, and the kernel reads
+``packed``.
+
 Coefficients are stored as plain ``int`` whenever they are integral, which
 canonical numerators and denominators always are; a ``Fraction`` appears only
 for a non-integral coefficient of an intermediate polynomial.  ``MPoly(...)``
 normalizes every coefficient once, on construction; kernel results whose
 terms are clean by construction skip that through ``_mpoly``, and results that
-may hold an integral Fraction still go through ``MPoly(...)``.  Since
+may hold an integral Fraction go through ``_cleaned``.  Since
 ``3 == Fraction(3)``, their hashes agree and both print as ``3``, equality,
 hashing and printing do not depend on the stored type.  Every coefficient
 division goes through ``_coef_div``, which returns ``a // b`` when ``b``
@@ -25,12 +35,14 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd as _igcd, isqrt as _isqrt, lcm as _ilcm
-from operator import add, sub
+from operator import or_
 
 from .errors import (
     ArityMismatch,
+    DegreeOverflow,
     DivisionByZero,
     IndexOutOfRange,
+    InvalidMultiIndex,
     NegativeExponent,
     NotConstant,
     UnknownVariable,
@@ -38,10 +50,34 @@ from .errors import (
     _Record,
 )
 
+_B = 32  # bits per exponent field
+_MASK = (1 << _B) - 1
+_CEIL = 1 << (_B - 1)  # the total degree ceiling, and each field's guard bit
+_CONST = {0}  # the key of the monomial 1
+_ONE = {0: 1}
 
-def _grlex(e: tuple[int, ...]):
-    # graded lexicographic key, variables in declaration order
-    return (sum(e), e)
+
+def _pack(e: tuple[int, ...]) -> int:
+    # an exponent tuple whose sum is below _CEIL as its key
+    k = sum(e)
+    for x in e:
+        k = k << _B | x
+    return k
+
+
+def _unpack(k: int, nv: int) -> tuple[int, ...]:
+    return tuple((k >> _B * (nv - 1 - j)) & _MASK for j in range(nv))
+
+
+def _field(nv: int, j: int) -> tuple[int, int]:
+    # (the shift of variable j's exponent field, the key of x_j)
+    s = _B * (nv - 1 - j)
+    return s, 1 << _B * nv | 1 << s
+
+
+def _check_degree(d: int) -> None:
+    if d >= _CEIL:
+        raise DegreeOverflow(f"total degree {d} reaches the ceiling 2^{_B - 1}")
 
 
 def _coef(c) -> int | Fraction:
@@ -64,71 +100,75 @@ def _coef_div(a, b) -> int | Fraction:
 class MPoly:
     """Sparse polynomial over Q in a fixed ordered tuple of variables."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "packed")
 
     def __init__(self, vars: Iterable[str], terms: dict):
         self.vars = tuple(vars)
         nv = len(self.vars)
-        clean: dict[tuple[int, ...], int | Fraction] = {}
+        clean: dict[int, int | Fraction] = {}
         for e, c in terms.items():
+            if type(e) is not tuple:
+                e = tuple(e)
+            if len(e) != nv:
+                raise ArityMismatch(f"exponent {e} has arity != {nv}")
+            if any(type(x) is not int for x in e):
+                raise InvalidMultiIndex(f"exponent {e} has an entry that is not an int")
+            if any(x < 0 for x in e):
+                raise NegativeExponent(f"exponent {e} has a negative entry")
+            _check_degree(sum(e))
             if type(c) is not int:
                 c = _coef(c)
             if c:
-                if type(e) is not tuple:
-                    e = tuple(e)
-                if len(e) != nv:
-                    raise ArityMismatch(f"exponent {e} has arity != {nv}")
-                clean[e] = c
-        self.terms = clean
+                clean[_pack(e)] = c
+        self.packed = clean
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], int | Fraction]:
+        """The terms keyed by exponent tuples, as a new dict."""
+        nv = len(self.vars)
+        return {_unpack(k, nv): c for k, c in self.packed.items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, vars: Iterable[str]) -> "MPoly":
-        return cls(vars, {})
+        return _mpoly(tuple(vars), {})
 
     @classmethod
     def const(cls, vars: Iterable[str], c) -> "MPoly":
-        vars = tuple(vars)
-        return cls(vars, {(0,) * len(vars): c})
+        return _cleaned(tuple(vars), {0: c})
 
     @classmethod
     def variable(cls, vars: Iterable[str], name: str) -> "MPoly":
         vars = tuple(vars)
         if name not in vars:
             raise UnknownVariable(f"variable '{name}' is not declared")
-        e = tuple(1 if v == name else 0 for v in vars)
-        return cls(vars, {e: 1})
+        return _mpoly(vars, {_field(len(vars), vars.index(name))[1]: 1})
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def is_const(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return self.packed.keys() <= _CONST
 
     def const_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        if len(self.terms) == 1:
-            ((e, c),) = self.terms.items()
-            if not any(e):
-                return Fraction(c)
-        raise NotConstant(f"polynomial {self} is not a constant")
+        if not self.is_const():
+            raise NotConstant(f"polynomial {self} is not a constant")
+        return Fraction(self.packed.get(0, 0))
 
     def _is_one(self) -> bool:
-        if len(self.terms) != 1:
-            return False
-        if self is _unit(self.vars):
-            return True
-        # a unit built elsewhere counts as one too
-        ((e, c),) = self.terms.items()
-        return c == 1 and not any(e)
+        return self.packed == _ONE
 
     def leading(self) -> tuple[tuple[int, ...], int | Fraction]:
-        e = max(self.terms, key=_grlex)
-        return e, self.terms[e]
+        k = max(self.packed)
+        return _unpack(k, len(self.vars)), self.packed[k]
+
+    def _lc(self) -> int | Fraction:
+        # the leading coefficient under graded lex
+        t = self.packed
+        return t[max(t)]
 
     # -- ring operations ----------------------------------------------------
 
@@ -138,81 +178,86 @@ class MPoly:
 
     def __add__(self, other: "MPoly") -> "MPoly":
         self._require_same_vars(other)
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            c += t.get(e, 0)
+        t = dict(self.packed)
+        for k, c in other.packed.items():
+            c += t.get(k, 0)
             if type(c) is not int:
                 c = _coef(c)
             if c:
-                t[e] = c
+                t[k] = c
             else:
-                del t[e]
+                del t[k]
         return _mpoly(self.vars, t)
 
     def __neg__(self) -> "MPoly":
-        return _mpoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _mpoly(self.vars, {k: -c for k, c in self.packed.items()})
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._require_same_vars(other)
-        t: dict[tuple[int, ...], int | Fraction] = {}
-        _mul_into(t, self.terms, other.terms)
-        if _ints(self.terms) and _ints(other.terms):
+        t: dict[int, int | Fraction] = {}
+        _mul_into(t, self.packed, other.packed, len(self.vars))
+        if _ints(self.packed) and _ints(other.packed):
             return _mpoly(self.vars, t)
         # a product of Fractions may be integral
-        return MPoly(self.vars, t)
+        return _cleaned(self.vars, t)
 
     def _scale(self, c) -> "MPoly":
         # c is nonzero
         if c == 1:
             return self
-        t = {e: k * c for e, k in self.terms.items()}
-        if type(c) is int and _ints(self.terms):
+        t = {k: a * c for k, a in self.packed.items()}
+        if type(c) is int and _ints(self.packed):
             return _mpoly(self.vars, t)
-        return MPoly(self.vars, t)
+        return _cleaned(self.vars, t)
 
     def _divide(self, c) -> "MPoly":
         # c is nonzero; _coef_div already gives the stored form
-        return _mpoly(self.vars, {e: _coef_div(k, c) for e, k in self.terms.items()})
+        return _mpoly(self.vars, {k: _coef_div(a, c) for k, a in self.packed.items()})
 
     def __pow__(self, k: int) -> "MPoly":
         if k < 0:
             raise NegativeExponent(f"polynomial raised to the power {k}")
+        _check_degree((max(self.packed, default=0) >> _B * len(self.vars)) * k)
         out = MPoly.const(self.vars, 1)
         base = self
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                # a square past the last bit may pass the ceiling
+                base = base * base
         return out
 
     def partial(self, j: int) -> "MPoly":
-        """Formal partial derivative with respect to the j-th variable."""
-        t: dict[tuple[int, ...], int | Fraction] = {}
-        for e, c in self.terms.items():
-            if e[j]:
-                e2 = e[:j] + (e[j] - 1,) + e[j + 1 :]
-                t[e2] = t.get(e2, 0) + c * e[j]
-        return MPoly(self.vars, t)
+        """Formal partial derivative by the j-th variable, 0-based."""
+        if not 0 <= j < len(self.vars):
+            raise IndexOutOfRange(f"variable index {j} not in 0..{len(self.vars) - 1}")
+        s, u = _field(len(self.vars), j)
+        t: dict[int, int | Fraction] = {}
+        for k, c in self.packed.items():
+            p = (k >> s) & _MASK
+            if p:
+                t[k - u] = c * p
+        return _cleaned(self.vars, t)
 
     # -- content and gcd -----------------------------------------------------
 
     def content(self) -> int | Fraction:
         """Signed rational content; self / content() has coprime integer
         coefficients and positive leading coefficient."""
-        if not self.terms:
+        if not self.packed:
             return 0
         try:
-            g = _igcd(*self.terms.values())
+            g = _igcd(*self.packed.values())
         except TypeError:  # a Fraction coefficient
             g = 0
-            for c in self.terms.values():
+            for c in self.packed.values():
                 g = _frac_gcd(g, c)
-        _, lead = self.leading()
-        return -g if lead < 0 else g
+        return -g if self._lc() < 0 else g
 
     def primitive_part(self) -> "MPoly":
         c = self.content()
@@ -226,20 +271,21 @@ class MPoly:
         return (
             isinstance(other, MPoly)
             and self.vars == other.vars
-            and self.terms == other.terms
+            and self.packed == other.packed
         )
 
     def __hash__(self) -> int:
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, frozenset(self.packed.items())))
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.packed:
             return "0"
+        nv = len(self.vars)
         parts = []
-        for e in sorted(self.terms, key=_grlex, reverse=True):
-            c = self.terms[e]
+        for k in sorted(self.packed, reverse=True):
+            c = self.packed[k]
             mon = "*".join(
-                v if p == 1 else f"{v}^{p}" for v, p in zip(self.vars, e) if p
+                v if p == 1 else f"{v}^{p}" for v, p in zip(self.vars, _unpack(k, nv)) if p
             )
             a = abs(c)
             if mon:
@@ -256,15 +302,22 @@ class MPoly:
 _new = object.__new__
 
 
-def _mpoly(vars: tuple[str, ...], terms: dict) -> MPoly:
-    """The trusted constructor: an MPoly over the tuple vars holding terms as
-    given, without the checks of ``MPoly(...)``.  The caller vouches that
-    terms is clean: tuple exponents of arity len(vars), no zero coefficient,
-    and each coefficient an int or a non-integral Fraction."""
+def _mpoly(vars: tuple[str, ...], packed: dict) -> MPoly:
+    """The trusted constructor: an MPoly over the tuple vars holding packed
+    as its terms, without the checks of ``MPoly(...)``.  The caller vouches
+    that packed is clean: keys of the layout over len(vars) variables with
+    total degree below the ceiling, no zero coefficient, and each
+    coefficient an int or a non-integral Fraction."""
     p = _new(MPoly)
     p.vars = vars
-    p.terms = terms
+    p.packed = packed
     return p
+
+
+def _cleaned(vars: tuple[str, ...], packed: dict) -> MPoly:
+    # _mpoly for coefficients that may be zero, or integral Fractions
+    return _mpoly(vars, {k: c for k, a in packed.items()
+                         if (c := a if type(a) is int else _coef(a))})
 
 
 _INT = {int}
@@ -275,18 +328,21 @@ def _ints(terms: dict) -> bool:
     return {*map(type, terms.values())} <= _INT
 
 
-def _mul_into(t: dict, a: dict, b: dict) -> None:
-    # the one multiply-accumulate of the kernel: add the product of the term
-    # dicts a and b into t, dropping a key whose sum is zero
+def _mul_into(t: dict, a: dict, b: dict, nv: int) -> None:
+    # the one multiply-accumulate of the kernel: add the product of the
+    # packed term dicts a and b over nv variables into t, dropping a key
+    # whose sum is zero; the leading keys bound the product's degree
+    if a and b:
+        _check_degree(max(a) + max(b) >> _B * nv)
     b = b.items()
-    for e1, c1 in a.items():
-        for e2, c2 in b:
-            e = tuple(map(add, e1, e2))
-            c = t.get(e, 0) + c1 * c2
+    for k1, c1 in a.items():
+        for k2, c2 in b:
+            k = k1 + k2
+            c = t.get(k, 0) + c1 * c2
             if c:
-                t[e] = c
+                t[k] = c
             else:
-                t.pop(e, None)
+                del t[k]
 
 
 def join_signed(parts: list[tuple[bool, str]]) -> str:
@@ -317,19 +373,19 @@ def divexact(f: MPoly, g: MPoly) -> MPoly:
         return f
     f._require_same_vars(g)
     if g.is_const():
-        ((_, c),) = g.terms.items()
-        return f._divide(c)
-    ge, gc = g.leading()
-    q: dict[tuple[int, ...], int | Fraction] = {}
-    rest = dict(f.terms)
+        return f._divide(g.packed[0])
+    nv, gt = len(f.vars), g.packed
+    gk = max(gt)
+    gc, G = gt[gk], _CEIL * ((1 << _B * nv) // _MASK)  # the guard bits
+    q: dict[int, int | Fraction] = {}
+    rest = dict(f.packed)
     while rest:
-        fe = max(rest, key=_grlex)
-        qe = tuple(a - b for a, b in zip(fe, ge))
-        if any(x < 0 for x in qe):
+        fk = max(rest)
+        if ((fk | G) - gk) & G != G:
+            # an exponent field of fk is below gk's, so its guard bit borrowed
             raise ValueError("inexact polynomial division")
-        qc = _coef_div(rest[fe], gc)
-        q[qe] = qc
-        _mul_into(rest, {qe: -qc}, g.terms)
+        q[fk - gk] = qc = _coef_div(rest[fk], gc)
+        _mul_into(rest, {fk - gk: -qc}, gt, nv)
     return _mpoly(f.vars, q)
 
 
@@ -351,20 +407,27 @@ def divexact(f: MPoly, g: MPoly) -> MPoly:
 # without it, coprime inputs over 4-5 variables can take seconds.
 
 
+def _main_var(f: MPoly, g: MPoly) -> int:
+    # the highest-indexed variable occurring in f or g, -1 if none does: the
+    # lowest nonzero exponent field of the keys' union
+    nv = len(f.vars)
+    o = (reduce(or_, f.packed, 0) | reduce(or_, g.packed, 0)) & ((1 << _B * nv) - 1)
+    return nv - 1 - ((o & -o).bit_length() - 1) // _B if o else -1
+
+
 def _deg_in(f: MPoly, m: int) -> int:
-    return max((e[m] for e in f.terms), default=0)
+    s = _field(len(f.vars), m)[0]
+    return max(((k >> s) & _MASK for k in f.packed), default=0)
 
 
 def _coeff_in(f: MPoly, m: int, d: int) -> MPoly:
-    t = {}
-    for e, c in f.terms.items():
-        if e[m] == d:
-            t[e[:m] + (0,) + e[m + 1 :]] = c
-    return _mpoly(f.vars, t)
+    s, u = _field(len(f.vars), m)
+    return _mpoly(f.vars, {k - d * u: c for k, c in f.packed.items() if (k >> s) & _MASK == d})
 
 
 def _shift(f: MPoly, m: int, d: int) -> MPoly:
-    return _mpoly(f.vars, {e[:m] + (e[m] + d,) + e[m + 1 :]: c for e, c in f.terms.items()})
+    u = _field(len(f.vars), m)[1]
+    return _mpoly(f.vars, {k + d * u: c for k, c in f.packed.items()})
 
 
 def _prem(f: MPoly, g: MPoly, m: int) -> MPoly:
@@ -383,7 +446,9 @@ def _prem(f: MPoly, g: MPoly, m: int) -> MPoly:
 
 def _cont_in(f: MPoly, m: int) -> MPoly:
     # primitive gcd of the coefficients of the powers of variable m
-    coeffs = (_coeff_in(f, m, d).primitive_part() for d in sorted({e[m] for e in f.terms}))
+    s = _field(len(f.vars), m)[0]
+    degrees = sorted({(k >> s) & _MASK for k in f.packed})
+    coeffs = (_coeff_in(f, m, d).primitive_part() for d in degrees)
     return reduce(_pp_gcd_prs, coeffs)
 
 
@@ -399,9 +464,10 @@ def _univariate_image(f: MPoly, m: int, point) -> dict:
     # substitute integers for every variable except m, working mod a prime;
     # f is primitive, so its coefficients are ints: _pp_gcd_prs only sees
     # primitive parts, and a primitive divided by a primitive is integral
-    p = _GCD_PRIME
+    p, nv = _GCD_PRIME, len(f.vars)
     out: dict[int, int] = {}
-    for e, c in f.terms.items():
+    for k, c in f.packed.items():
+        e = _unpack(k, nv)
         v = c % p
         for j, q in enumerate(e):
             if j != m and q:
@@ -456,9 +522,9 @@ def _image_degree_bound(f: MPoly, g: MPoly, m: int, df: int, dg: int) -> int | N
 def _pp_gcd(f: MPoly, g: MPoly) -> tuple[MPoly, MPoly, MPoly]:
     # (h, f/h, g/h) for primitive polynomials (coprime integer coefficients,
     # positive leading coefficient); all three in the same normal form
-    if len(f.terms) == 1:
+    if len(f.packed) == 1:
         return _monomial_gcd(f, g)
-    if len(g.terms) == 1:
+    if len(g.packed) == 1:
         h, b, a = _monomial_gcd(g, f)
         return h, a, b
     out = _heu_gcd(f, g)
@@ -472,16 +538,18 @@ def _monomial_gcd(m: MPoly, g: MPoly) -> tuple[MPoly, MPoly, MPoly]:
     # (h, m/h, g/h) for a primitive power product m = x^a (a constant 1
     # included) and a primitive g: h = x^b with b the least exponent of each
     # variable over both supports
-    ((a, _),) = m.terms.items()
-    b = a
-    for e in g.terms:
-        b = tuple(map(min, b, e))
+    nv = len(m.vars)
+    ((a, _),) = m.packed.items()
+    b = _unpack(a, nv)
+    for k in g.packed:
+        b = tuple(map(min, b, _unpack(k, nv)))
         if not any(b):
             return _unit(m.vars), m, g
+    b = _pack(b)
     return (
         _mpoly(m.vars, {b: 1}),
-        _mpoly(m.vars, {tuple(map(sub, a, b)): 1}),
-        _mpoly(g.vars, {tuple(map(sub, e, b)): c for e, c in g.terms.items()}),
+        _mpoly(m.vars, {a - b: 1}),
+        _mpoly(g.vars, {k - b: c for k, c in g.packed.items()}),
     )
 
 
@@ -493,17 +561,17 @@ def _heu_gcd(f: MPoly, g: MPoly) -> tuple[MPoly, MPoly, MPoly] | None:
     the integer content included, by GCDHEU; None when the heuristic gives
     up.  With xi >= 2*min(|f|, |g|) + 2 a candidate that divides both inputs
     is provably the gcd, and the quotients of that check are the cofactors."""
-    c = _igcd(_igcd(*f.terms.values()), _igcd(*g.terms.values()))
+    c = _igcd(_igcd(*f.packed.values()), _igcd(*g.packed.values()))
     if c != 1:
         # an inner level loses factors unless the common content goes first
         f, g = f._divide(c), g._divide(c)
-    m = max((i for e in (*f.terms, *g.terms) for i, p in enumerate(e) if p), default=-1)
+    m = _main_var(f, g)
     if m < 0:
         return MPoly.const(f.vars, c), f, g
-    xi = 2 * min(max(map(abs, f.terms.values())), max(map(abs, g.terms.values()))) + 29
+    xi = 2 * min(max(map(abs, f.packed.values())), max(map(abs, g.packed.values()))) + 29
     for _ in range(_HEU_TRIES):
         ff, gg = _eval_at(f, m, xi), _eval_at(g, m, xi)
-        if ff.terms and gg.terms:
+        if ff.packed and gg.packed:
             out = _heu_gcd(ff, gg)
             if out is None:
                 return None
@@ -524,25 +592,28 @@ def _heu_gcd(f: MPoly, g: MPoly) -> tuple[MPoly, MPoly, MPoly] | None:
 
 def _eval_at(f: MPoly, m: int, xi: int) -> MPoly:
     # substitute the integer xi for variable m
-    t: dict[tuple[int, ...], int] = {}
-    for e, c in f.terms.items():
-        k = e[:m] + (0,) + e[m + 1 :]
-        t[k] = t.get(k, 0) + c * xi ** e[m]
-    return MPoly(f.vars, t)
+    s, u = _field(len(f.vars), m)
+    t: dict[int, int] = {}
+    for k, c in f.packed.items():
+        d = (k >> s) & _MASK
+        k -= d * u
+        t[k] = t.get(k, 0) + c * xi**d
+    return _cleaned(f.vars, t)
 
 
 def _xi_adic(h: MPoly, m: int, xi: int) -> MPoly:
     # rebuild variable m from the symmetric base-xi digits of each coefficient
-    t: dict[tuple[int, ...], int] = {}
+    u = _field(len(h.vars), m)[1]
+    t: dict[int, int] = {}
     half = xi // 2
-    for e, c in h.terms.items():
+    for k, c in h.packed.items():
         d = 0
         while c:
             r = c % xi
             if r > half:
                 r -= xi
             if r:
-                t[e[:m] + (d,) + e[m + 1 :]] = r
+                t[k + d * u] = r
             c = (c - r) // xi
             d += 1
     return _mpoly(h.vars, t)
@@ -553,7 +624,7 @@ def _pp_gcd_prs(f: MPoly, g: MPoly) -> MPoly:
     # pseudo-remainder sequence only
     if f.is_const() or g.is_const():
         return MPoly.const(f.vars, 1)
-    m = max(i for e in list(f.terms) + list(g.terms) for i, p in enumerate(e) if p)
+    m = _main_var(f, g)
     df, dg = _deg_in(f, m), _deg_in(g, m)
     if df == 0:
         return _pp_gcd_prs(f, _cont_in(g, m))
@@ -582,7 +653,7 @@ def mpoly_cofactors(f: MPoly, g: MPoly) -> tuple[MPoly, MPoly, MPoly]:
         if f.is_zero() and g.is_zero():
             return f, f, g
         h = g if f.is_zero() else f
-        sign = 1 if h.leading()[1] > 0 else -1
+        sign = 1 if h._lc() > 0 else -1
         h, one, zero = h._scale(sign), MPoly.const(h.vars, sign), MPoly.zero(h.vars)
         return (h, zero, one) if f.is_zero() else (h, one, zero)
     cf, cg = f.content(), g.content()
@@ -648,9 +719,8 @@ class RatFunc:
         unit = _unit(vars)
         if c == 1:
             return cls(unit, unit)
-        z = (0,) * len(vars)
         b = c.denominator
-        return cls(MPoly(vars, {z: c.numerator}), unit if b == 1 else MPoly(vars, {z: b}))
+        return cls(_mpoly(vars, {0: c.numerator}), unit if b == 1 else _mpoly(vars, {0: b}))
 
     @classmethod
     def variable(cls, vars: Iterable[str], name: str) -> "RatFunc":
@@ -679,13 +749,13 @@ class RatFunc:
             raise NotConstant(f"field element {self} is not a constant")
         if self.is_zero():
             return Fraction(0)
-        ((_, n),) = self.num.terms.items()
-        ((_, d),) = self.den.terms.items()
+        ((_, n),) = self.num.packed.items()
+        ((_, d),) = self.den.packed.items()
         return Fraction(_coef_div(n, d))
 
     def negative_lead(self) -> bool:
         """Sign used by canonical printing: the numerator's leading sign."""
-        return (not self.num.is_zero()) and self.num.leading()[1] < 0
+        return (not self.num.is_zero()) and self.num._lc() < 0
 
     # -- field operations ------------------------------------------------------
 
@@ -734,7 +804,7 @@ class RatFunc:
         if self.is_zero():
             raise DivisionByZero("division by the zero field element")
         num, den = self.den, self.num
-        if den.leading()[1] < 0:
+        if den._lc() < 0:
             num, den = -num, -den
         return RatFunc(num, den)
 
@@ -766,7 +836,7 @@ class RatFunc:
         ns = str(self.num)
         if self.den._is_one():
             return ns
-        if len(self.num.terms) > 1:
+        if len(self.num.packed) > 1:
             ns = f"({ns})"
         ds = str(self.den)
         if not _atomic_denominator(self.den):
@@ -779,7 +849,7 @@ class RatFunc:
 
 def needs_product_parens(c: "RatFunc") -> bool:
     """True when printing c directly before '*' would split its top-level sum."""
-    return len(c.num.terms) > 1 and c.den._is_one()
+    return len(c.num.packed) > 1 and c.den._is_one()
 
 
 def format_sum(pairs) -> str:
@@ -876,10 +946,10 @@ def _atomic_denominator(d: MPoly) -> bool:
     # coefficient-1 power of one variable
     if d.is_const():
         return True
-    if len(d.terms) != 1:
+    if len(d.packed) != 1:
         return False
-    ((e, c),) = d.terms.items()
-    return c == 1 and sum(1 for p in e if p) == 1
+    ((k, c),) = d.packed.items()
+    return c == 1 and sum(1 for p in _unpack(k, len(d.vars)) if p) == 1
 
 
 def _canonical_scale(num: MPoly, den: MPoly) -> RatFunc:
@@ -890,7 +960,7 @@ def _canonical_scale(num: MPoly, den: MPoly) -> RatFunc:
     c = _frac_gcd(num.content(), den.content())
     if c != 1:
         num, den = num._divide(c), den._divide(c)
-    if den.leading()[1] < 0:
+    if den._lc() < 0:
         num, den = -num, -den
     return RatFunc(num, den)
 
@@ -976,23 +1046,28 @@ def derive(action: DerivationAction, f: RatFunc) -> RatFunc:
 def _derive_poly(action: DerivationAction, p: MPoly) -> MPoly:
     # D'(p) = sum_j d_j(p) * nums[j], added into one dict; p and the nums
     # have int coefficients (canonical parts and their lcm multiples), so
-    # dropping the zero sums leaves the terms clean
-    t: dict[tuple[int, ...], int] = {}
+    # dropping the zero sums leaves the terms clean.  Fields below the
+    # ceiling sum without a carry, so one check of the result suffices.
+    nv = len(p.vars)
+    t: dict[int, int] = {}
     for j, pj in enumerate(action.nums):
-        if not pj.terms:
+        if not pj.packed:
             continue
-        for e, c in p.terms.items():
-            k = e[j]
-            if k:
-                e1 = e[:j] + (k - 1,) + e[j + 1 :]
-                ck = c * k
-                for e2, c2 in pj.terms.items():
-                    m = tuple(map(add, e1, e2))
-                    s = t.get(m, 0) + ck * c2
-                    if s:
-                        t[m] = s
+        s, u = _field(nv, j)
+        pt = pj.packed.items()
+        for k, c in p.packed.items():
+            e = (k >> s) & _MASK
+            if e:
+                k1, ce = k - u, c * e
+                for k2, c2 in pt:
+                    m = k1 + k2
+                    v = t.get(m, 0) + ce * c2
+                    if v:
+                        t[m] = v
                     else:
                         del t[m]
+    if t:
+        _check_degree(max(t) >> _B * nv)
     return _mpoly(p.vars, t)
 
 
@@ -1007,7 +1082,7 @@ def lincomb(pairs: Iterable[tuple[RatFunc, RatFunc]], vars: Sequence[str]) -> Ra
     A single group skips the merge.  A factor over another variable tuple
     raises ``UnknownVariable``, as ``*`` does."""
     vars = tuple(vars)
-    both = (vars, vars)
+    nv, both = len(vars), (vars, vars)
     groups: dict[MPoly, dict] = {}
     for a, b in pairs:
         if (a.num.vars, b.num.vars) != both:
@@ -1020,7 +1095,7 @@ def lincomb(pairs: Iterable[tuple[RatFunc, RatFunc]], vars: Sequence[str]) -> Ra
             den = a.den
         else:
             den = a.den * b.den
-        _mul_into(groups.setdefault(den, {}), a.num.terms, b.num.terms)
+        _mul_into(groups.setdefault(den, {}), a.num.packed, b.num.packed, nv)
     # canonical numerators have int coefficients and _mul_into drops zeros
     nonzero = [(d, t) for d, t in groups.items() if t]
     if not nonzero:
@@ -1031,7 +1106,7 @@ def lincomb(pairs: Iterable[tuple[RatFunc, RatFunc]], vars: Sequence[str]) -> Ra
         den, cofactors = _lcm_cofactors([d for d, _ in nonzero])
         t = {}
         for (_, n), c in zip(nonzero, cofactors):
-            _mul_into(t, n, c.terms)
+            _mul_into(t, n, c.packed, nv)
         if not t:
             return RatFunc.zero(vars)
     num = _mpoly(vars, t)
@@ -1050,13 +1125,15 @@ def _lcm_cofactors(dens: list[MPoly]) -> tuple[MPoly, list[MPoly]]:
     b_i*d_i, so L/d_i = b_i * g_(i+1) * ... * g_k, built with suffix
     products."""
     vars = dens[0].vars
-    if all(len(d.terms) == 1 for d in dens):
-        mons = [next(iter(d.terms.items())) for d in dens]
+    if all(len(d.packed) == 1 for d in dens):
+        mons = [next(iter(d.packed.items())) for d in dens]
         c = _ilcm(*(k for _, k in mons))
-        a = tuple(map(max, zip(*(e for e, _ in mons))))
+        a = tuple(map(max, zip(*(_unpack(e, len(vars)) for e, _ in mons))))
+        _check_degree(sum(a))
+        a = _pack(a)
         # all units (polynomial images) keep the shared denominator 1
-        L = _unit(vars) if c == 1 and not any(a) else _mpoly(vars, {a: c})
-        return L, [_mpoly(vars, {tuple(map(sub, a, e)): c // k}) for e, k in mons]
+        L = _unit(vars) if c == 1 and not a else _mpoly(vars, {a: c})
+        return L, [_mpoly(vars, {a - e: c // k}) for e, k in mons]
     one = _unit(vars)
     L, bs, gs = dens[0], [one], [one]
     for d in dens[1:]:

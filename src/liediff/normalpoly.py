@@ -24,7 +24,7 @@ from .errors import (
     UnboundSlot,
     _Record,
 )
-from .field import RatFunc, SparseSum, _add_to, derive, format_sum
+from .field import RatFunc, SparseSum, _add_to, derive, format_sum, lincomb
 from .lie import Presentation
 from .ops import PBWTable, _multi_index, _times, _derivatives
 
@@ -175,20 +175,23 @@ def _derive_with(i: int, q: NormalPoly, p: Presentation, on_x) -> NormalPoly:
 
 def eval_hom(q: NormalPoly, b: RatFunc, p: Presentation) -> RatFunc:
     """Evaluation homomorphism: substitute X_I by the iterated derivative of
-    the witness b, then evaluate in the base field."""
+    the witness b, then evaluate in the base field.  Each monomial's product
+    of derivatives is paired with its coefficient, and the pairs are summed
+    with one ``lincomb``, normalized once."""
     slots = q.slots()
     if slots:
         raise UnboundSlot(f"unsubstituted slots {sorted(slots)}")
     if q.n != p.n:
         raise ArityMismatch("normal polynomial arity differs from the presentation")
     dvalue = _derivatives(p, b)
-    out = RatFunc.zero(p.vars)
+    one = RatFunc.const(p.vars, 1)
+    pairs = []
     for m, c in q.terms.items():
-        v = c
+        v = one
         for g, e in m:
-            v = v * dvalue(g) ** e
-        out = out + v
-    return out
+            v = _times(v, dvalue(g) ** e)
+        pairs.append((c, v))
+    return lincomb(pairs, p.vars)
 
 
 def substitute_slots(q: NormalPoly, values: dict) -> NormalPoly:

@@ -16,6 +16,7 @@ from liediff import (
     DerivationAction,
     DivisionByZero,
     IndexOutOfRange,
+    InvalidMultiIndex,
     MPoly,
     NegativeExponent,
     RatFunc,
@@ -130,6 +131,18 @@ class TestArith:
         with pytest.raises(NegativeExponent):
             MPoly.variable(VARS, "x") ** -1
 
+    def test_bad_exponents_rejected(self):
+        # a negative exponent field would borrow from its neighbour in the
+        # packed key; a float or a bool is not an exponent
+        for vars, e, err in [
+            (("x",), (-1,), NegativeExponent),
+            (VARS, (2, -1), NegativeExponent),
+            (("x",), (1.5,), InvalidMultiIndex),
+            (VARS, (True, 0), InvalidMultiIndex),
+        ]:
+            with pytest.raises(err):
+                MPoly(vars, {e: 1})
+
     def test_negative_powers_rejected_under_optimize(self):
         # the checks raise, so they survive python -O (an assert would not);
         # this also covers the invariants of the rewrite oracle and of
@@ -150,6 +163,9 @@ class TestArith:
             "    (NotConstant, lambda: RatFunc.variable(('x', 'y'), 'x').const_value()),\n"
             "    (ArityMismatch, lambda: DerivationAction('D', ('x', 'y'), (one,))),\n"
             "    (ArityMismatch, lambda: MPoly(('x',), {(1, 2): 1})),\n"
+            "    (NegativeExponent, lambda: MPoly(('x',), {(-1,): 1})),\n"
+            "    (DegreeOverflow, lambda: MPoly(('x',), {(2**31,): 1})),\n"
+            "    (DegreeOverflow, lambda: x ** 2**31),\n"
             # the engines' internal invariants, broken on purpose
             "    (InvariantBroken, lambda: ops._collect((2, 1), ('x',), 2)),\n"
             "]\n"

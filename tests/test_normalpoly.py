@@ -225,6 +225,30 @@ class TestEvalHom:
         with pytest.raises(ArityMismatch):
             eval_hom(np_("X[1,0,0]", p_heis), rf("x", p1), p1)
 
+    def test_sum_is_normalized_once(self, p_heis, gcd_calls):
+        # the five derivatives take 7 gcds, the product X[1,0,0]*X[0,1,0]
+        # two, and the one lincomb of the monomials five; adding the
+        # monomials one by one took 24 in all
+        q = np_("X[1,0,0]*X[0,1,0] + x*X[2,0,0] + X[0,0,1]^2 + y*X[0,1,1] + 3", p_heis)
+        b = rf("(x + y)/(x*z + 1)", p_heis)
+        gcd_calls.clear()
+        got = eval_hom(q, b, p_heis)
+        assert len(gcd_calls) <= 14
+        ref = RatFunc.zero(p_heis.vars)
+        for m, c in q.terms.items():
+            for I, e in m:
+                one = NormalOperator.monomial(p_heis.vars, 3, I, rf("1", p_heis))
+                c = c * apply_operator(one, b, p_heis) ** e
+            ref = ref + c
+        assert got == ref
+
+    def test_polynomial_witness_needs_no_gcd(self, p1, gcd_calls):
+        q = np_("X[1,0]*X[0,1] + x*X[2,0] + X[0,1]^2/3 - y*X[1,1] + 3", p1)
+        b = rf("x^2*y + 2*y", p1)
+        gcd_calls.clear()
+        got = eval_hom(q, b, p1)
+        assert gcd_calls == [] and got.den.is_const()
+
 
 class TestAxiom1:
     def test_nonzero_witness(self, p1):

@@ -12,7 +12,10 @@ plain sum on each kind of denominator, ``derive`` with the quotient rule
 reduced by one full gcd, and ``apply_operator`` on a normal operator with
 the same operator written as an ``OpWord``, and the bracket table
 computed once per unordered pair agrees with every ordered pair computed
-from the formula."""
+from the formula.  The packed polynomial kernel agrees with the tuple-keyed
+kernel of ``tuple_kernel.py`` on products, exact and inexact quotients,
+cofactors, printing, equality, hashing and the tuple round trip, with
+exponents next to the degree ceiling 2^31, which raises a typed error."""
 
 import random
 from fractions import Fraction
@@ -43,8 +46,10 @@ from liediff import (  # noqa: E402
     rewrite_normalize,
     validate_antisymmetry,
 )
-from liediff import NormalOperator, NormalPoly, op_mul, ops  # noqa: E402
-from conftest import cold_copy, quotient_rule_reference, rand_npoly  # noqa: E402
+from liediff import DegreeOverflow, NormalOperator, NormalPoly, op_mul, ops  # noqa: E402
+from conftest import DATA, cold_copy, quotient_rule_reference, rand_npoly  # noqa: E402
+from liediff.cli import main  # noqa: E402
+import tuple_kernel  # noqa: E402
 from liediff.field import mpoly_cofactors  # noqa: E402
 
 
@@ -858,3 +863,164 @@ def test_antisymmetry_report_equals_sitewise_sums(p_nc, data):
     alpha = StructureConstants.from_entries(n, p_nc.vars, entries)
     got = [(v.where, v.residual) for v in validate_antisymmetry(alpha)]
     assert got == _antisymmetry_reference(alpha)
+
+
+# -- the packed kernel against the tuple kernel, and the degree ceiling -------
+
+CEIL = 2**31
+# small exponents, and large ones whose sums pass the ceiling or stop just
+# below it, so that a slip in a mask, a shift or a guard bit shows
+_EXPONENT = st.one_of(st.integers(0, 3), st.sampled_from([CEIL - 2, CEIL - 3, 2**30, 2**30 - 1]))
+PACKED_VARS = st.sampled_from([("x",), ("x", "y"), ("x", "y", "z"), ("w", "x", "y", "z")])
+
+
+def packed_polys(vars, exponent=_EXPONENT, max_size=4):
+    """Polynomials whose exponent tuples have a total degree below 2^31,
+    with int and Fraction coefficients."""
+    exponents = st.tuples(*[exponent] * len(vars)).filter(lambda e: sum(e) < CEIL)
+    coeff = st.one_of(st.integers(-5, 5), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3)))
+    return st.dictionaries(exponents, coeff, max_size=max_size).map(lambda t: MPoly(vars, t))
+
+
+def _degree(f: MPoly) -> int:
+    return max(map(sum, f.terms))
+
+
+def _tuple_terms(f: MPoly) -> dict:
+    # f's terms as the tuple kernel keeps them: Fraction coefficients
+    return {e: Fraction(c) for e, c in f.terms.items()}
+
+
+@PROPERTY
+@given(data=st.data())
+def test_packed_product_equals_tuple_kernel(data):
+    vars = data.draw(PACKED_VARS)
+    f, g = data.draw(packed_polys(vars)), data.draw(packed_polys(vars))
+    if not f.is_zero() and not g.is_zero() and _degree(f) + _degree(g) >= CEIL:
+        with pytest.raises(DegreeOverflow):
+            f * g
+        return
+    h = f * g
+    assert h.terms == tuple_kernel.product(_tuple_terms(f), _tuple_terms(g))
+    if not g.is_zero():
+        assert divexact(h, g) == f
+        assert divexact(h, g).terms == tuple_kernel.divexact(_tuple_terms(h), _tuple_terms(g))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_packed_quotient_equals_tuple_kernel(data):
+    # an exact quotient agrees, and an inexact division raises in both.  A
+    # divisor with large exponents is a power product: x^(2^31 - 2) / (x - 1)
+    # would run 2^31 - 2 quotient steps before it fails
+    vars = data.draw(PACKED_VARS)
+    small = packed_polys(vars, exponent=st.integers(0, 3))
+    f, g = data.draw(st.one_of(
+        st.tuples(packed_polys(vars), packed_polys(vars, max_size=1)),
+        st.tuples(small, small),
+    ).filter(lambda fg: not fg[1].is_zero()))
+    try:
+        want = tuple_kernel.divexact(_tuple_terms(f), _tuple_terms(g))
+    except ValueError:
+        with pytest.raises(ValueError):
+            divexact(f, g)
+    else:
+        assert divexact(f, g).terms == want
+
+
+@PROPERTY
+@given(data=st.data())
+def test_packed_text_order_and_round_trip(data):
+    # printing follows the tuple kernel's grlex order; equality and hashing
+    # agree with the tuple view, and MPoly(p.vars, p.terms) rebuilds p
+    vars = data.draw(PACKED_VARS)
+    f, g = data.draw(packed_polys(vars)), data.draw(packed_polys(vars))
+    same = MPoly(vars, dict(reversed(list(_tuple_terms(f).items()))))
+    for p in (f, g, same):
+        assert str(p) == tuple_kernel.to_str(vars, p.terms)
+        assert MPoly(p.vars, p.terms) == p
+    assert same == f and hash(same) == hash(f)
+    assert (f == g) == (f.terms == g.terms)
+    if f == g:
+        assert hash(f) == hash(g)
+    if not f.is_zero():
+        e, c = f.leading()
+        assert e == max(f.terms, key=tuple_kernel.grlex) and c == f.terms[e]
+
+
+@PROPERTY
+@given(data=st.data())
+def test_packed_cofactors_check_by_tuple_kernel(data):
+    # a power product with large exponents against a general polynomial
+    # (the monomial shortcut), or two general polynomials with small ones
+    # (GCDHEU evaluates a variable at xi, so it stays with small degrees)
+    vars = data.draw(PACKED_VARS)
+    small = packed_polys(vars, exponent=st.integers(0, 3))
+    f = data.draw(st.one_of(packed_polys(vars, max_size=1), small))
+    g = data.draw(small)
+    h, a, b = mpoly_cofactors(f, g)
+    if h.is_zero():
+        assert f.is_zero() and g.is_zero()
+        return
+    for whole, part in ((f, a), (g, b)):
+        assert tuple_kernel.product(_tuple_terms(part), _tuple_terms(h)) == _tuple_terms(whole)
+    for p in (h, a, b):
+        assert str(p) == tuple_kernel.to_str(vars, p.terms)
+
+
+def test_ceiling_exponent_round_trips():
+    top = CEIL - 1
+    for vars, e in [(("x",), (top,)), (XYZ, (0, top, 0)), (XYZ, (1, 0, top - 1))]:
+        p = MPoly(vars, {e: 3})
+        assert p.terms == {e: 3} and MPoly(vars, p.terms) == p
+        assert parse_field_expr(str(p), vars) == RatFunc.from_poly(p)
+    x = MPoly.variable(("x",), "x")
+    # the last square of x is not taken, so 2^31 - 1 = 0b111...1 stays in reach
+    assert x ** top == MPoly(("x",), {(top,): 1})
+    assert str(parse_field_expr("x^999999999", ("x",))) == "x^999999999"
+    assert str(parse_field_expr(f"x^{top}*y^0", ("x", "y"))) == f"x^{top}"
+
+
+def test_ceiling_raises_typed_error(capsys):
+    x = MPoly.variable(("x", "y"), "x")
+    big = MPoly(("x", "y"), {(2**30, 0): 1})
+    for build in [
+        lambda: MPoly(("x",), {(CEIL,): 1}),
+        lambda: MPoly(("x", "y"), {(2**30, 2**30): 1}),
+        lambda: x**CEIL,
+        lambda: (x * x) ** 2**30,
+        lambda: big * big,
+        lambda: big * MPoly(("x", "y"), {(0, 2**30): 1}),
+        lambda: parse_field_expr(f"x^{CEIL}", ("x",)),
+        lambda: parse_field_expr("x^1073741824 * y^1073741824", ("x", "y")),
+        lambda: lincomb([(RatFunc.from_poly(big), RatFunc.from_poly(big))], ("x", "y")),
+        lambda: lincomb([(RatFunc.const(("x", "y"), 1), RatFunc.from_poly(big).reciprocal()),
+                         (RatFunc.const(("x", "y"), 1),
+                          RatFunc.from_poly(MPoly(("x", "y"), {(0, 2**30): 1})).reciprocal())],
+                        ("x", "y")),
+    ]:
+        with pytest.raises(DegreeOverflow):
+            build()
+    code = main(["apply", "-p", str(DATA / "p1.json"), "D1", f"x^{CEIL}"])
+    err = capsys.readouterr().err
+    assert code == 2 and "2^31" in err
+
+
+def test_derivative_at_the_ceiling():
+    top = CEIL - 1
+    X = ("x",)
+
+    def mono(e, c=1):
+        return RatFunc.from_poly(MPoly(X, {(e,): c}))
+
+    dx = DerivationAction("dx", X, (RatFunc.const(X, 1),))
+    square = DerivationAction("sq", X, (mono(2),))
+    assert derive(dx, mono(top)) == mono(top - 1, top)
+    assert mono(top).num.partial(0) == mono(top - 1, top).num
+    assert derive(square, mono(top - 1)) == mono(top, top - 1)
+    # d/dx x^-(2^31 - 2) = -(2^31 - 2) / x^(2^31 - 1)
+    want = mono(top).reciprocal() * RatFunc.const(X, 1 - top)
+    assert derive(dx, mono(top - 1).reciprocal()) == want
+    for D, f in [(square, mono(top)), (dx, mono(top).reciprocal())]:
+        with pytest.raises(DegreeOverflow):
+            derive(D, f)
