@@ -56,7 +56,6 @@ from .frobenius import (
 from .lie import (
     Presentation,
     StructureConstants,
-    apply_first_order,
     bracket_residuals,
     check_presentation,
     validate_antisymmetry,
@@ -81,7 +80,6 @@ from .ops import (
     normalize,
     op_commutator,
     op_mul,
-    rewrite_normalize,
 )
 from .parsing import parse_field_expr, parse_normalpoly_expr, parse_operator_expr
 

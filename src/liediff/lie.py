@@ -12,7 +12,6 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import (
-    ArityMismatch,
     NonConstantStructureConstants,
     UnknownDerivation,
     Violation,
@@ -152,12 +151,3 @@ def check_presentation(p: Presentation) -> list[Violation]:
         out.append(Violation(f"bracket axiom at (k,l)=({k},{l}), variable {v}", r))
     return out
 
-
-def apply_first_order(coeffs, f: RatFunc, p: Presentation) -> RatFunc:
-    """Apply the first-order operator sum_i coeffs[i] * D_i to a field element."""
-    if len(coeffs) != p.n:
-        raise ArityMismatch("coefficient vector arity differs from n")
-    return lincomb(
-        [(c, derive(D, f)) for c, D in zip(coeffs, p.derivations) if not c.is_zero()],
-        p.vars,
-    )

@@ -19,20 +19,6 @@ D_k * D^I.  With l the first index such that I_l > 0,
 The entries depend on the presentation alone.  They are filled on demand,
 without recursion, into one table per presentation (``PBWTable``), which
 every call over that presentation shares.
-
-``rewrite_normalize`` is the reference engine the tests compare against.
-It rewrites redexes with two rules:
-
-  R1:  D_k * c      ->  c * D_k  +  D_k(c)
-  R2:  D_k * D_l    ->  D_l * D_k + sum_m alpha[k,l,m] * D_m      (k > l)
-
-Both rules preserve the operator's action on the field, so applying the
-normal form to any element agrees with applying the original word.  Each
-rewrite strictly decreases the measure (number of derivation factors, number
-of out-of-order derivation pairs, number of coefficients standing right of a
-derivation), which forces termination; the oracle checks the decrease at
-every step and raises ``InvariantBroken`` if it fails.  Its cost is
-exponential in the length of a word.
 """
 
 from __future__ import annotations
@@ -42,7 +28,6 @@ from collections.abc import Iterable
 from .errors import (
     ArityMismatch,
     InvalidMultiIndex,
-    InvariantBroken,
     UnknownDerivation,
     UnknownVariable,
 )
@@ -155,65 +140,6 @@ def _words(a: OpWord | NormalOperator):
     if isinstance(a, OpWord):
         return a.terms
     return [(c,) + _symbols(I) for I, c in a.terms.items()]
-
-
-def _measure(term) -> tuple[int, int, int]:
-    syms = [f for f in term if isinstance(f, int)]
-    inversions = sum(
-        1
-        for i in range(len(syms))
-        for j in range(i + 1, len(syms))
-        if syms[i] > syms[j]
-    )
-    pending = 0
-    seen = 0
-    for f in term:
-        if isinstance(f, int):
-            seen += 1
-        else:
-            pending += seen
-    return (len(syms), inversions, pending)
-
-
-def _redexes(term):
-    for i in range(len(term) - 1):
-        a, b = term[i], term[i + 1]
-        if isinstance(a, int):
-            if not isinstance(b, int):
-                yield i
-            elif a > b:
-                yield i
-
-
-def _rewrite_at(term, i, p: Presentation):
-    a, b = term[i], term[i + 1]
-    head, tail = term[:i], term[i + 2 :]
-    out = [head + (b, a) + tail]
-    if isinstance(b, int):
-        # R2: swap out-of-order derivations, emit the bracket correction
-        for m, c in p.alpha.bracket(a, b):
-            out.append(head + (c, m) + tail)
-    else:
-        # R1: move the coefficient left, emit its derivative
-        db = derive(p.derivation(a), b)
-        if not db.is_zero():
-            out.append(head + (db,) + tail)
-    return out
-
-
-def _collect(term, vars, n) -> tuple[tuple[int, ...], RatFunc]:
-    I = [0] * n
-    c = RatFunc.const(vars, 1)
-    prev = 0
-    for f in term:
-        if isinstance(f, int):
-            if f < prev:
-                raise InvariantBroken("term is not normal-ordered")
-            prev = f
-            I[f - 1] += 1
-        else:
-            c = c * f
-    return tuple(I), c
 
 
 def _check_word(w: OpWord | NormalOperator, p: Presentation, strategy: str = "leftmost") -> None:
@@ -342,10 +268,12 @@ def normalize(w: OpWord | NormalOperator, p: Presentation, strategy: str = "left
     words c * D^I of its terms, by left multiplication through the PBW table
     of the presentation.
 
-    ``strategy`` is validated for compatibility with ``rewrite_normalize`` but
-    selects nothing here.  ``stats``, when given, receives the number of table
-    entries this call added under the key "steps": 0 when every entry it
-    needed was already in the presentation's table.
+    ``strategy`` must be "leftmost" or "rightmost" but selects nothing: the
+    table engine has one order.  ``stats``, when given, receives the number
+    of table entries this call added under the key "steps": 0 when every
+    entry it needed was already in the presentation's table.  Both stay in
+    the signature because the benchmark's tracer (``perfbench/spans.py``)
+    passes them positionally.
     """
     _check_word(w, p, strategy)
     table = PBWTable(p)
@@ -353,38 +281,6 @@ def normalize(w: OpWord | NormalOperator, p: Presentation, strategy: str = "left
     if stats is not None:
         stats["steps"] = table.added
     return out
-
-
-def rewrite_normalize(w: OpWord | NormalOperator, p: Presentation, strategy: str = "leftmost", stats: dict | None = None) -> NormalOperator:
-    """Reference engine: rewrite a word, or the words c * D^I of a normal
-    operator, into its normal-ordered form.
-
-    ``strategy`` selects which redex fires first ("leftmost" or "rightmost");
-    the result must not depend on it.  ``stats``, when given, receives the
-    number of rewrite steps under the key "steps".
-    """
-    _check_word(w, p, strategy)
-    acc: dict[tuple[int, ...], RatFunc] = {}
-    stack = list(_words(w))
-    steps = 0
-    while stack:
-        term = stack.pop()
-        positions = list(_redexes(term))
-        if not positions:
-            I, c = _collect(term, w.vars, w.n)
-            if not c.is_zero():
-                _add_to(acc, I, c)
-            continue
-        i = positions[0] if strategy == "leftmost" else positions[-1]
-        steps += 1
-        before = _measure(term)
-        for child in _rewrite_at(term, i, p):
-            if _measure(child) >= before:
-                raise InvariantBroken("rewrite did not decrease the measure")
-            stack.append(child)
-    if stats is not None:
-        stats["steps"] = steps
-    return NormalOperator(w.vars, w.n, acc)
 
 
 def op_mul(a: NormalOperator, b: NormalOperator, p: Presentation) -> NormalOperator:

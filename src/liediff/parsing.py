@@ -174,8 +174,12 @@ class _OperatorParser(_Parser):
         return op_mul(a, b, self.pres)
 
     def power(self, a, k: int):
-        # a^k = a * a^(k-1): the base stays the left operand, whose symbols
-        # set the cost of a product
+        # a pure coefficient takes the field's power, in log k products and
+        # under its degree ceiling; otherwise a^k = a * a^(k-1): the base stays
+        # the left operand, whose symbols set the cost of a product
+        zero = (0,) * self.pres.n
+        if a.terms.keys() <= {zero}:
+            return self.const(a.terms.get(zero, RatFunc.zero(self.vars)) ** k)
         out = NormalOperator.identity(self.vars, self.pres.n)
         for _ in range(k):
             out = self.mul(a, out)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +25,18 @@ from liediff import (
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def run_python(code: str, *flags: str, timeout: float) -> subprocess.CompletedProcess:
+    """Run code in a child interpreter with the given flags, importing
+    liediff from src/ and the test helpers from tests/; a run past timeout
+    seconds raises ``subprocess.TimeoutExpired``."""
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests)]
+    path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def make_presentation(vars, images, alpha_items):

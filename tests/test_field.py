@@ -1,12 +1,8 @@
-import os
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from itertools import product
 from math import isqrt
-from pathlib import Path
 
 import pytest
 
@@ -29,7 +25,7 @@ from liediff import (
     parse_field_expr,
     ratfunc_normalize,
 )
-from conftest import rand_nonzero_poly, rand_poly, rand_ratfunc
+from conftest import rand_nonzero_poly, rand_poly, rand_ratfunc, run_python
 
 VARS = ("x", "y")
 
@@ -145,11 +141,12 @@ class TestArith:
 
     def test_negative_powers_rejected_under_optimize(self):
         # the checks raise, so they survive python -O (an assert would not);
-        # this also covers the invariants of the rewrite oracle and of
-        # linear_independence
+        # this also covers the invariants of the rewrite oracle
+        # (tests/oracles.py) and of linear_independence
         code = (
             "from liediff import *\n"
-            "from liediff import frobenius, ops\n"
+            "from liediff import frobenius\n"
+            "import oracles\n"
             "x = MPoly.variable(('x',), 'x')\n"
             "q = NormalPoly.xvar(('x',), 1, (1,))\n"
             "for base in (x, q):\n"
@@ -167,12 +164,12 @@ class TestArith:
             "    (DegreeOverflow, lambda: MPoly(('x',), {(2**31,): 1})),\n"
             "    (DegreeOverflow, lambda: x ** 2**31),\n"
             # the engines' internal invariants, broken on purpose
-            "    (InvariantBroken, lambda: ops._collect((2, 1), ('x',), 2)),\n"
+            "    (InvariantBroken, lambda: oracles.collect((2, 1), ('x',), 2)),\n"
             "]\n"
-            "ops._measure = lambda term: (0, 0, 0)\n"
+            "oracles.measure = lambda term: (0, 0, 0)\n"
             "w = OpWord(('x',), 1, [(1, RatFunc.variable(('x',), 'x'))])\n"
             "p = Presentation(('x',), (coordinate_delta(('x',), 1),), StructureConstants.zero(1, ('x',)))\n"
-            "cases.append((InvariantBroken, lambda: rewrite_normalize(w, p)))\n"
+            "cases.append((InvariantBroken, lambda: oracles.rewrite_normalize(w, p)))\n"
             "d = coordinate_delta(('x',), 1)\n"
             "twice = Presentation(('x',), (d, d), StructureConstants.zero(2, ('x',)))\n"
             "frobenius._null_vector = lambda mat, ncols: None\n"
@@ -184,11 +181,7 @@ class TestArith:
             "        continue\n"
             "    raise SystemExit(f'case {i} did not raise {err.__name__}')\n"
         )
-        path = [str(Path(__file__).resolve().parents[1] / "src")]
-        path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                             capture_output=True, text=True, timeout=60)
+        out = run_python(code, "-O", timeout=60)
         assert out.returncode == 0, out.stderr
 
 

@@ -6,12 +6,13 @@ import pytest
 
 from liediff import (
     ArityMismatch,
+    NormalOperator,
     NotIndependent,
     Presentation,
     RatFunc,
     StructureConstants,
     UnknownVariable,
-    apply_first_order,
+    apply_operator,
     axiom2_witness_check,
     change_basis_check,
     commuting_basis,
@@ -210,14 +211,15 @@ class TestCommutingBasis:
     def test_new_basis_commutes_on_random_elements(self, fixture, request):
         pres = request.getfixturevalue(fixture)
         A, _ = commuting_basis(pres)
+        U = [NormalOperator.first_order(row, pres.n) for row in A]
         rng = random.Random(82)
         for _ in range(10):
             f = RatFunc.from_poly(rand_poly(rng, pres.vars, 3))
             for r in range(pres.n):
                 for s in range(r + 1, pres.n):
-                    res = apply_first_order(
-                        A[r], apply_first_order(A[s], f, pres), pres
-                    ) - apply_first_order(A[s], apply_first_order(A[r], f, pres), pres)
+                    res = apply_operator(
+                        U[r], apply_operator(U[s], f, pres), pres
+                    ) - apply_operator(U[s], apply_operator(U[r], f, pres), pres)
                     assert res.is_zero()
 
 
@@ -298,14 +300,16 @@ class TestChangeBasisCheck:
 
 def _per_pair_report(A, beta, pres):
     # reference: each bracket coefficient straight from the formula, one
-    # (l,k) pair at a time, with apply_first_order as the derivation route
+    # (l,k) pair at a time, with apply_operator on first-order operators as
+    # the derivation route
     n = pres.n
+    U = [NormalOperator.first_order(row, n) for row in A]
     out = []
     for l in range(n):
         for k in range(n):
             for j in range(n):
-                res = apply_first_order(A[l], A[k][j], pres) - apply_first_order(
-                    A[k], A[l][j], pres
+                res = apply_operator(U[l], A[k][j], pres) - apply_operator(
+                    U[k], A[l][j], pres
                 )
                 for r in range(n):
                     for s in range(n):

@@ -23,12 +23,12 @@ from liediff import (
     indices_up_to,
     parse_field_expr,
     parse_normalpoly_expr,
-    rewrite_normalize,
     substitute_slots,
 )
 from liediff import normalpoly, ops
 from liediff.normalpoly import x_action
 from conftest import cold_copy, rand_npoly, rand_poly, rand_ratfunc
+from oracles import rewrite_normalize
 
 
 def np_(text, pres):

@@ -24,12 +24,12 @@ from liediff import (
     op_mul,
     parse_field_expr,
     parse_operator_expr,
-    rewrite_normalize,
 )
 from liediff.normalpoly import x_action
 from liediff import ops
 from liediff.ops import PBWTable
 from conftest import cold_copy, make_presentation, rand_poly, rand_word, word
+from oracles import rewrite_normalize
 
 
 def rf(text, pres):

@@ -11,12 +11,13 @@ from liediff import (
     UnknownVariable,
     apply_operator,
     normalize,
+    op_mul,
     parse_field_expr,
     parse_normalpoly_expr,
     parse_operator_expr,
-    rewrite_normalize,
 )
-from conftest import rand_npoly, rand_ratfunc, rand_word, word
+from conftest import DATA, rand_npoly, rand_ratfunc, rand_word, run_python, word
+from oracles import rewrite_normalize
 
 VARS = ("x", "y")
 
@@ -76,6 +77,42 @@ class TestOperatorGrammar:
     def test_power_repeats_composition(self, p1):
         assert parse_operator_expr("D1^3", p1) == parse_operator_expr("D1*D1*D1", p1)
         assert parse_operator_expr("(D2*x)^0", p1) == parse_operator_expr("1", p1)
+
+    @pytest.mark.parametrize("name", ["p1", "p_nc"])
+    @pytest.mark.parametrize("c", ["0", "x", "(x+1)/y"])
+    def test_coefficient_power_equals_repeated_product(self, request, name, c):
+        # a pure coefficient takes the field's power, which must equal the
+        # k-fold composition, 0^0 and x^0 included
+        pres = request.getfixturevalue(name)
+        base = parse_operator_expr(c, pres)
+        want = NormalOperator.identity(pres.vars, pres.n)
+        for k in range(41):
+            got = parse_operator_expr(f"({c})^{k}", pres)
+            assert got == want and str(got) == str(want)
+            want = op_mul(base, want, pres)
+
+    def test_coefficient_power_reaches_the_degree_ceiling(self):
+        # a coefficient power goes straight to the field's degree ceiling,
+        # not through k products; a child process bounds the run if it hangs
+        code = (
+            "import time\n"
+            "from liediff import DegreeOverflow, parse_operator_expr\n"
+            "from liediff.cli import load_presentation, main\n"
+            f"path = {str(DATA / 'p1.json')!r}\n"
+            "start = time.perf_counter()\n"
+            "code = main(['normalize', '-p', path, 'x^2147483648'])\n"
+            "try:\n"
+            "    parse_operator_expr('x^2147483648', load_presentation(path))\n"
+            "    raise SystemExit('parse_operator_expr did not raise DegreeOverflow')\n"
+            "except DegreeOverflow:\n"
+            "    pass\n"
+            "print(code, time.perf_counter() - start)\n"
+        )
+        out = run_python(code, timeout=20)
+        assert out.returncode == 0, out.stderr
+        assert "reaches the ceiling 2^31" in out.stderr
+        status, seconds = out.stdout.split()
+        assert status == "2" and float(seconds) < 1.0
 
     def test_unknown_derivation(self, p1):
         with pytest.raises(UnknownDerivation):

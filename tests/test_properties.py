@@ -43,11 +43,11 @@ from liediff import (  # noqa: E402
     parse_field_expr,
     parse_operator_expr,
     ratfunc_normalize,
-    rewrite_normalize,
     validate_antisymmetry,
 )
 from liediff import DegreeOverflow, NormalOperator, NormalPoly, op_mul, ops  # noqa: E402
 from conftest import DATA, cold_copy, quotient_rule_reference, rand_npoly  # noqa: E402
+from oracles import rewrite_normalize  # noqa: E402
 from liediff.cli import main  # noqa: E402
 import tuple_kernel  # noqa: E402
 from liediff.field import mpoly_cofactors  # noqa: E402
