@@ -15,6 +15,7 @@ from .errors import (
     DivisionByZero,
     ExprSyntaxError,
     IndexOutOfRange,
+    IntegerTooLong,
     InvalidMultiIndex,
     InvariantBroken,
     IoError,
@@ -36,7 +37,6 @@ from .field import (
     DerivationAction,
     MPoly,
     RatFunc,
-    coordinate_delta,
     derive,
     divexact,
     lincomb,

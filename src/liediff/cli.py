@@ -50,6 +50,9 @@ def _read_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError(f"'{path}' is not valid JSON: {e}") from e
+    except ValueError as e:
+        # an integer past the interpreter's int-string limit, which stays in force
+        raise SchemaError(f"'{path}' holds an integer too long to read: {e}") from e
 
 
 def _json_text(value, what: str) -> str:

@@ -82,6 +82,11 @@ class DegreeOverflow(LieDiffError):
     packed monomial layout."""
 
 
+class IntegerTooLong(LieDiffError):
+    """An integer has more decimal digits than the interpreter converts to
+    text (``sys.get_int_max_str_digits()``), so it cannot be printed."""
+
+
 class NotConstant(LieDiffError):
     """A constant value was read from a non-constant polynomial or field
     element."""

@@ -42,6 +42,7 @@ from .errors import (
     DegreeOverflow,
     DivisionByZero,
     IndexOutOfRange,
+    IntegerTooLong,
     InvalidMultiIndex,
     NegativeExponent,
     NotConstant,
@@ -197,6 +198,11 @@ class MPoly:
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._require_same_vars(other)
+        # a unit operand gives the other one itself
+        if other.packed == _ONE:
+            return self
+        if self.packed == _ONE:
+            return other
         t: dict[int, int | Fraction] = {}
         _mul_into(t, self.packed, other.packed, len(self.vars))
         if _ints(self.packed) and _ints(other.packed):
@@ -215,6 +221,8 @@ class MPoly:
 
     def _divide(self, c) -> "MPoly":
         # c is nonzero; _coef_div already gives the stored form
+        if c == 1:
+            return self
         return _mpoly(self.vars, {k: _coef_div(a, c) for k, a in self.packed.items()})
 
     def __pow__(self, k: int) -> "MPoly":
@@ -261,9 +269,7 @@ class MPoly:
 
     def primitive_part(self) -> "MPoly":
         c = self.content()
-        if not c or c == 1:
-            return self
-        return self._divide(c)
+        return self._divide(c) if c else self
 
     # -- comparison / display -------------------------------------------------
 
@@ -287,11 +293,15 @@ class MPoly:
             mon = "*".join(
                 v if p == 1 else f"{v}^{p}" for v, p in zip(self.vars, _unpack(k, nv)) if p
             )
-            a = abs(c)
+            try:
+                a = str(abs(c))
+            except ValueError as e:
+                # the interpreter's int-string limit, which stays in force
+                raise IntegerTooLong(f"cannot print a coefficient: {e}") from None
             if mon:
-                body = mon if a == 1 else f"{a}*{mon}"
+                body = mon if a == "1" else f"{a}*{mon}"
             else:
-                body = str(a)
+                body = a
             parts.append((c < 0, body))
         return join_signed(parts)
 
@@ -329,9 +339,10 @@ def _ints(terms: dict) -> bool:
 
 
 def _mul_into(t: dict, a: dict, b: dict, nv: int) -> None:
-    # the one multiply-accumulate of the kernel: add the product of the
-    # packed term dicts a and b over nv variables into t, dropping a key
-    # whose sum is zero; the leading keys bound the product's degree
+    # the multiply-accumulate of the kernel's products (_derive_poly alone
+    # keeps a fused loop of its own): add the product of the packed term
+    # dicts a and b over nv variables into t, dropping a key whose sum is
+    # zero; the leading keys bound the product's degree
     if a and b:
         _check_degree(max(a) + max(b) >> _B * nv)
     b = b.items()
@@ -366,7 +377,12 @@ def _frac_gcd(a, b) -> int | Fraction:
 
 
 def divexact(f: MPoly, g: MPoly) -> MPoly:
-    """Exact polynomial quotient f/g; raises ValueError if g does not divide f."""
+    """Exact polynomial quotient f/g; raises ValueError if g does not divide f.
+
+    Grlex is a monomial order, so an exact quotient q has least key
+    min(f) - min(g): a division whose least keys do not divide, or that
+    reaches a quotient key below that one, is inexact at once, without
+    running the rest of its quotient steps."""
     if g.is_zero():
         raise ValueError("division by the zero polynomial")
     if f.is_zero():
@@ -375,14 +391,17 @@ def divexact(f: MPoly, g: MPoly) -> MPoly:
     if g.is_const():
         return f._divide(g.packed[0])
     nv, gt = len(f.vars), g.packed
-    gk = max(gt)
+    gk, gm, fm = max(gt), min(gt), min(f.packed)
     gc, G = gt[gk], _CEIL * ((1 << _B * nv) // _MASK)  # the guard bits
+    lo = fm - gm  # the least key of an exact quotient
+    # an exponent field of a key below another's borrows its guard bit
+    if ((fm | G) - gm) & G != G:
+        raise ValueError("inexact polynomial division")
     q: dict[int, int | Fraction] = {}
     rest = dict(f.packed)
     while rest:
         fk = max(rest)
-        if ((fk | G) - gk) & G != G:
-            # an exponent field of fk is below gk's, so its guard bit borrowed
+        if ((fk | G) - gk) & G != G or fk - gk < lo:
             raise ValueError("inexact polynomial division")
         q[fk - gk] = qc = _coef_div(rest[fk], gc)
         _mul_into(rest, {fk - gk: -qc}, gt, nv)
@@ -562,9 +581,8 @@ def _heu_gcd(f: MPoly, g: MPoly) -> tuple[MPoly, MPoly, MPoly] | None:
     up.  With xi >= 2*min(|f|, |g|) + 2 a candidate that divides both inputs
     is provably the gcd, and the quotients of that check are the cofactors."""
     c = _igcd(_igcd(*f.packed.values()), _igcd(*g.packed.values()))
-    if c != 1:
-        # an inner level loses factors unless the common content goes first
-        f, g = f._divide(c), g._divide(c)
+    # an inner level loses factors unless the common content goes first
+    f, g = f._divide(c), g._divide(c)
     m = _main_var(f, g)
     if m < 0:
         return MPoly.const(f.vars, c), f, g
@@ -658,7 +676,7 @@ def mpoly_cofactors(f: MPoly, g: MPoly) -> tuple[MPoly, MPoly, MPoly]:
         return (h, zero, one) if f.is_zero() else (h, one, zero)
     cf, cg = f.content(), g.content()
     c = _frac_gcd(cf, cg)
-    h, a, b = _pp_gcd(f if cf == 1 else f._divide(cf), g if cg == 1 else g._divide(cg))
+    h, a, b = _pp_gcd(f._divide(cf), g._divide(cg))
     # f = cf * a * h and c divides cf in the integers: f/(c*h) = (cf/c) * a
     return h._scale(c), a._scale(_coef_div(cf, c)), b._scale(_coef_div(cg, c))
 
@@ -667,15 +685,6 @@ def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
     """Greatest common divisor in Q[vars], canonicalized so that the result
     carries the gcd of the rational contents: mpoly_gcd(2x, 4) = 2."""
     return mpoly_cofactors(f, g)[0]
-
-
-def _poly_times(a: MPoly, b: MPoly) -> MPoly:
-    # a*b, skipping the product by a unit factor
-    if b._is_one():
-        return a
-    if a._is_one():
-        return b
-    return a * b
 
 
 @lru_cache(maxsize=256)
@@ -792,8 +801,11 @@ class RatFunc:
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         self.num._require_same_vars(other.num)
-        if self.is_zero() or other.is_zero():
-            return RatFunc.zero(self.vars)
+        # a unit or zero operand decides the product alone
+        if other.is_one() or self.is_zero():
+            return self
+        if self.is_one() or other.is_zero():
+            return other
         if self.den._is_one() and other.den._is_one():
             return RatFunc(self.num * other.num, self.den)
         _, n1, d2 = mpoly_cofactors(self.num, other.den)
@@ -958,8 +970,7 @@ def _canonical_scale(num: MPoly, den: MPoly) -> RatFunc:
     if num.is_zero():
         return RatFunc.zero(num.vars)
     c = _frac_gcd(num.content(), den.content())
-    if c != 1:
-        num, den = num._divide(c), den._divide(c)
+    num, den = num._divide(c), den._divide(c)
     if den._lc() < 0:
         num, den = -num, -den
     return RatFunc(num, den)
@@ -986,7 +997,7 @@ def common_denominator(xs: Sequence[RatFunc], vars) -> tuple[list[MPoly], MPoly]
     if not xs:
         return [], _unit(vars)
     den, cofactors = _lcm_cofactors([x.den for x in xs])
-    return [_poly_times(x.num, c) for x, c in zip(xs, cofactors)], den
+    return [x.num * c for x, c in zip(xs, cofactors)], den
 
 
 class DerivationAction(_Record):
@@ -1037,7 +1048,7 @@ def derive(action: DerivationAction, f: RatFunc) -> RatFunc:
     num = r1 * dn - f.num * s1
     if num.is_zero():
         return RatFunc.zero(f.vars)
-    qg = _poly_times(q, g)
+    qg = q * g
     if not qg.is_const():
         _, num, qg = mpoly_cofactors(num, qg)
     return _canonical_scale(num, qg * r1 * r1)
@@ -1048,6 +1059,8 @@ def _derive_poly(action: DerivationAction, p: MPoly) -> MPoly:
     # have int coefficients (canonical parts and their lcm multiples), so
     # dropping the zero sums leaves the terms clean.  Fields below the
     # ceiling sum without a carry, so one check of the result suffices.
+    # The partial derivative is taken inside the loop: handing _mul_into a
+    # dict of d_j(p) was 5-20% slower.
     nv = len(p.vars)
     t: dict[int, int] = {}
     for j, pj in enumerate(action.nums):
@@ -1089,13 +1102,7 @@ def lincomb(pairs: Iterable[tuple[RatFunc, RatFunc]], vars: Sequence[str]) -> Ra
             raise UnknownVariable("operands are over different variable tuples")
         if a.is_zero() or b.is_zero():
             continue
-        if a.den._is_one():
-            den = b.den
-        elif b.den._is_one():
-            den = a.den
-        else:
-            den = a.den * b.den
-        _mul_into(groups.setdefault(den, {}), a.num.packed, b.num.packed, nv)
+        _mul_into(groups.setdefault(a.den * b.den, {}), a.num.packed, b.num.packed, nv)
     # canonical numerators have int coefficients and _mul_into drops zeros
     nonzero = [(d, t) for d, t in groups.items() if t]
     if not nonzero:
@@ -1140,22 +1147,10 @@ def _lcm_cofactors(dens: list[MPoly]) -> tuple[MPoly, list[MPoly]]:
         _, b, g = mpoly_cofactors(L, d)
         bs.append(b)
         gs.append(g)
-        L = _poly_times(L, g)
+        L = L * g
     cofactors, suffix = [], one
     for b, g in zip(reversed(bs), reversed(gs)):
-        cofactors.append(_poly_times(b, suffix))
-        suffix = _poly_times(g, suffix)
+        cofactors.append(b * suffix)
+        suffix = g * suffix
     cofactors.reverse()
     return L, cofactors
-
-
-def coordinate_delta(vars: Sequence[str], i: int) -> DerivationAction:
-    """The coordinate derivation sending the i-th variable (1-based) to 1 and
-    every other variable to 0."""
-    vars = tuple(vars)
-    if not 1 <= i <= len(vars):
-        raise IndexOutOfRange(f"index {i} not in 1..{len(vars)}")
-    images = tuple(
-        RatFunc.const(vars, 1 if j == i - 1 else 0) for j in range(len(vars))
-    )
-    return DerivationAction(f"delta{i}", vars, images)

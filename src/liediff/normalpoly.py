@@ -26,7 +26,7 @@ from .errors import (
 )
 from .field import RatFunc, SparseSum, _add_to, derive, format_sum, lincomb
 from .lie import Presentation
-from .ops import PBWTable, _multi_index, _times, _derivatives
+from .ops import PBWTable, _multi_index, _derivatives
 
 # A generator is a multi-index (tuple of ints) for X_I or a string for a slot.
 
@@ -167,9 +167,9 @@ def _derive_with(i: int, q: NormalPoly, p: Presentation, on_x) -> NormalPoly:
             if isinstance(g, str):
                 raise UnboundSlot(f"cannot differentiate placeholder slot '{g}'")
             rest = m[:idx] + (((g, e - 1),) if e > 1 else ()) + m[idx + 1 :]
-            ce = _times(c, RatFunc.const(q.vars, e))
+            ce = c * RatFunc.const(q.vars, e)
             for m2, c2 in on_x(g).terms.items():
-                _add_to(t, _mono_mul(rest, m2), _times(ce, c2))
+                _add_to(t, _mono_mul(rest, m2), ce * c2)
     return NormalPoly(q.vars, q.n, t)
 
 
@@ -189,7 +189,7 @@ def eval_hom(q: NormalPoly, b: RatFunc, p: Presentation) -> RatFunc:
     for m, c in q.terms.items():
         v = one
         for g, e in m:
-            v = _times(v, dvalue(g) ** e)
+            v = v * dvalue(g) ** e
         pairs.append((c, v))
     return lincomb(pairs, p.vars)
 

@@ -151,15 +151,6 @@ def _check_word(w: OpWord | NormalOperator, p: Presentation, strategy: str = "le
         raise UnknownDerivation("word arity differs from the presentation")
 
 
-def _times(a: RatFunc, b: RatFunc) -> RatFunc:
-    # most table coefficients are 1: skip those products
-    if a.is_one():
-        return b
-    if b.is_one():
-        return a
-    return a * b
-
-
 def _shift(I: tuple, k: int, d: int) -> tuple:
     return I[: k - 1] + (I[k - 1] + d,) + I[k:]
 
@@ -222,7 +213,7 @@ class PBWTable:
             out = self.left_mul(l, entries[(k, rest)])
             for m, c in brackets:
                 for J, t in entries[(m, rest)].items():
-                    _add_to(out, J, _times(c, t))
+                    _add_to(out, J, c * t)
             entries.setdefault(key, out)
             self.added += 1
         return entries[want]
@@ -233,7 +224,7 @@ class PBWTable:
         action = self.p.derivation(k)
         for I, c in a.items():
             for J, t in self.entry(k, I).items():
-                _add_to(out, J, _times(c, t))
+                _add_to(out, J, c * t)
             if not c.is_const():
                 _add_to(out, I, derive(action, c))
         return out
@@ -258,7 +249,7 @@ class PBWTable:
             elif f.is_zero():
                 return
             elif not f.is_one():
-                part = {I: _times(f, c) for I, c in part.items()}
+                part = {I: f * c for I, c in part.items()}
         for I, c in part.items():
             _add_to(acc, I, c)
 
@@ -334,7 +325,7 @@ def apply_operator(a: NormalOperator | OpWord, f: RatFunc, p: Presentation) -> R
         dvalue = _derivatives(p, f)
         if len(a.terms) == 1:
             ((I, c),) = a.terms.items()
-            return _times(c, dvalue(I))
+            return c * dvalue(I)
         return lincomb([(c, dvalue(I)) for I, c in a.terms.items()], p.vars)
     out = RatFunc.zero(p.vars)
     for term in a.terms:
@@ -343,7 +334,7 @@ def apply_operator(a: NormalOperator | OpWord, f: RatFunc, p: Presentation) -> R
             if isinstance(fac, int):
                 g = derive(p.derivation(fac), g)
             else:
-                g = _times(fac, g)
+                g = fac * g
         out = out + g
     return out
 

@@ -53,6 +53,17 @@ def _tokenize(text: str) -> list[_Tok]:
     return out
 
 
+def _int(text: str, pos: int) -> int:
+    # a run of digits past the interpreter's int-string limit, which stays
+    # in force, is a syntax error at its offset
+    try:
+        return int(text)
+    except ValueError:
+        raise ExprSyntaxError(
+            f"integer of {len(text)} digits is too long to read", pos
+        ) from None
+
+
 class _Parser:
     """The shared grammar; each grammar supplies ``const(c)``, which lifts a
     field element into its values, and ``name(tok)`` for identifier atoms,
@@ -76,6 +87,10 @@ class _Parser:
             )
         self.i += 1
         return tok
+
+    def integer(self) -> int:
+        tok = self.take("int")
+        return _int(tok.text, tok.pos)
 
     def parse(self):
         v = self.expr()
@@ -109,14 +124,13 @@ class _Parser:
         a = self.atom()
         if self.peek().kind == "^":
             self.take()
-            k = int(self.take("int").text)
-            a = self.power(a, k)
+            a = self.power(a, self.integer())
         return a
 
     def atom(self):
         tok = self.take()
         if tok.kind == "int":
-            return self.const(RatFunc.const(self.vars, int(tok.text)))
+            return self.const(RatFunc.const(self.vars, _int(tok.text, tok.pos)))
         if tok.kind == "name":
             return self.name(tok)
         if tok.kind == "(":
@@ -161,7 +175,7 @@ class _OperatorParser(_Parser):
         m = _DSYM.match(tok.text)
         if not m:
             return self.const(self.variable(tok))
-        k = int(m.group(1))
+        k = _int(m.group(1), tok.pos + 1)
         n = self.pres.n
         if not 1 <= k <= n:
             raise UnknownDerivation(
@@ -200,10 +214,10 @@ class _NormalPolyParser(_Parser):
     def name(self, tok: _Tok) -> NormalPoly:
         if tok.text == "X" and self.peek().kind == "[":
             self.take()
-            idx = [int(self.take("int").text)]
+            idx = [self.integer()]
             while self.peek().kind == ",":
                 self.take()
-                idx.append(int(self.take("int").text))
+                idx.append(self.integer())
             self.take("]")
             return NormalPoly.xvar(self.vars, self.pres.n, tuple(idx))
         if tok.text in self.vars:

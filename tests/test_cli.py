@@ -198,6 +198,41 @@ class TestExitCodes:
         code, out = run(capsys, "frobenius", "-p", pfile)
         assert code == 2 and out == ""
 
+    # CPython refuses int <-> str conversions past 4300 digits by default; the
+    # CLI keeps that limit and reports an input error (exit 2), not exit 1
+    BIG = "7" * 5000
+
+    def _one_error(self, capsys, argv):
+        code = main([str(a) for a in argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        return captured.err
+
+    @pytest.mark.parametrize("where", ["presentation", "matrix"])
+    def test_json_integer_past_the_digit_limit(self, capsys, tmp_path, where):
+        obj = json.loads((DATA / "p1.json").read_text())
+        matrix = {"entries": [["1", "0"], ["0", "1"]]}
+        if where == "presentation":
+            obj["derivations"][1]["action"]["y"] = "BIG"
+        else:
+            matrix["entries"][1][0] = "BIG"
+        pfile, mfile = tmp_path / "p.json", tmp_path / "a.json"
+        pfile.write_text(json.dumps(obj).replace('"BIG"', self.BIG))
+        mfile.write_text(json.dumps(matrix).replace('"BIG"', self.BIG))
+        err = self._one_error(capsys, ["check-commuting", "-p", pfile, "-A", mfile])
+        bad = pfile if where == "presentation" else mfile
+        assert err.startswith(f"error: '{bad}' holds an integer too long to read: ")
+
+    @pytest.mark.parametrize("expr, pos", [(BIG, 0), ("x + " + BIG, 4), ("x^" + BIG, 2)])
+    def test_expression_integer_past_the_digit_limit(self, capsys, expr, pos):
+        err = self._one_error(capsys, ["normalize", "-p", DATA / "p1.json", expr])
+        assert err == f"error: integer of 5000 digits is too long to read (at offset {pos})\n"
+
+    def test_result_integer_past_the_digit_limit(self, capsys):
+        err = self._one_error(capsys, ["normalize", "-p", DATA / "p1.json", "2^20000"])
+        assert err.startswith("error: cannot print a coefficient: ")
+
     def test_integer_expressions_accepted(self, capsys, tmp_path):
         obj = json.loads((DATA / "p1.json").read_text())
         obj["derivations"][1]["action"]["y"] = 1

@@ -1,8 +1,10 @@
+import ast
 import random
 import time
 from fractions import Fraction
 from itertools import product
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -11,14 +13,12 @@ from liediff.field import mpoly_cofactors
 from liediff import (
     DerivationAction,
     DivisionByZero,
-    IndexOutOfRange,
     InvalidMultiIndex,
     MPoly,
     NegativeExponent,
     RatFunc,
     UnknownVariable,
     ZeroDenominator,
-    coordinate_delta,
     derive,
     lincomb,
     mpoly_gcd,
@@ -28,6 +28,12 @@ from liediff import (
 from conftest import rand_nonzero_poly, rand_poly, rand_ratfunc, run_python
 
 VARS = ("x", "y")
+
+
+def delta(vars, i: int) -> DerivationAction:
+    # the coordinate derivation sending the i-th variable (1-based) to 1
+    images = tuple(RatFunc.const(vars, int(j == i - 1)) for j in range(len(vars)))
+    return DerivationAction(f"delta{i}", vars, images)
 
 
 def rf(text: str) -> RatFunc:
@@ -168,9 +174,9 @@ class TestArith:
             "]\n"
             "oracles.measure = lambda term: (0, 0, 0)\n"
             "w = OpWord(('x',), 1, [(1, RatFunc.variable(('x',), 'x'))])\n"
-            "p = Presentation(('x',), (coordinate_delta(('x',), 1),), StructureConstants.zero(1, ('x',)))\n"
+            "d = DerivationAction('delta1', ('x',), (RatFunc.const(('x',), 1),))\n"
+            "p = Presentation(('x',), (d,), StructureConstants.zero(1, ('x',)))\n"
             "cases.append((InvariantBroken, lambda: oracles.rewrite_normalize(w, p)))\n"
-            "d = coordinate_delta(('x',), 1)\n"
             "twice = Presentation(('x',), (d, d), StructureConstants.zero(2, ('x',)))\n"
             "frobenius._null_vector = lambda mat, ncols: None\n"
             "cases.append((InvariantBroken, lambda: linear_independence(twice)))\n"
@@ -183,6 +189,18 @@ class TestArith:
         )
         out = run_python(code, "-O", timeout=60)
         assert out.returncode == 0, out.stderr
+
+    def test_library_has_no_assert_statement(self):
+        # python -O strips assert statements, so no check of the library may
+        # rest on one
+        src = Path(liediff.field.__file__).parent
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
 
 
 class TestGcd:
@@ -300,7 +318,7 @@ class TestGcd:
 
 class TestDerive:
     def test_power_rule(self):
-        d = coordinate_delta(VARS, 1)
+        d = delta(VARS, 1)
         assert derive(d, rf("x^2*y")) == rf("2*x*y")
 
     def test_quotient_rule_cleared_denominator_oracle(self):
@@ -466,19 +484,13 @@ class TestUnitDenominator:
 
 class TestCoordinateDelta:
     def test_images(self):
-        d1 = coordinate_delta(VARS, 1)
-        d2 = coordinate_delta(VARS, 2)
-        assert d1.images == (rf("1"), rf("0"))
-        assert d2.images == (rf("0"), rf("1"))
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
-            coordinate_delta(("x",), 3)
+        d1, d2 = delta(VARS, 1), delta(VARS, 2)
+        assert [derive(d1, rf(v)) for v in VARS] == [rf("1"), rf("0")]
+        assert [derive(d2, rf(v)) for v in VARS] == [rf("0"), rf("1")]
 
     def test_deltas_commute_on_low_degree_monomials(self):
         # double application in both orders on every monomial of degree <= 4
-        d1 = coordinate_delta(VARS, 1)
-        d2 = coordinate_delta(VARS, 2)
+        d1, d2 = delta(VARS, 1), delta(VARS, 2)
         for a, b in product(range(5), repeat=2):
             if a + b > 4:
                 continue

@@ -15,7 +15,9 @@ computed once per unordered pair agrees with every ordered pair computed
 from the formula.  The packed polynomial kernel agrees with the tuple-keyed
 kernel of ``tuple_kernel.py`` on products, exact and inexact quotients,
 cofactors, printing, equality, hashing and the tuple round trip, with
-exponents next to the degree ceiling 2^31, which raises a typed error."""
+exponents next to the degree ceiling 2^31, which raises a typed error.  An
+inexact division stops at its least key, and a product with a unit operand,
+like a division by the coefficient 1, returns the other operand itself."""
 
 import random
 from fractions import Fraction
@@ -45,7 +47,7 @@ from liediff import (  # noqa: E402
     ratfunc_normalize,
     validate_antisymmetry,
 )
-from liediff import DegreeOverflow, NormalOperator, NormalPoly, op_mul, ops  # noqa: E402
+from liediff import DegreeOverflow, NormalOperator, NormalPoly, UnknownVariable, op_mul, ops  # noqa: E402
 from conftest import DATA, cold_copy, quotient_rule_reference, rand_npoly  # noqa: E402
 from oracles import rewrite_normalize  # noqa: E402
 from liediff.cli import main  # noqa: E402
@@ -911,8 +913,8 @@ def test_packed_product_equals_tuple_kernel(data):
 @given(data=st.data())
 def test_packed_quotient_equals_tuple_kernel(data):
     # an exact quotient agrees, and an inexact division raises in both.  A
-    # divisor with large exponents is a power product: x^(2^31 - 2) / (x - 1)
-    # would run 2^31 - 2 quotient steps before it fails
+    # divisor with large exponents is a power product: (x^(2^31 - 2) + 1) /
+    # (x - 1) would run 2^31 - 2 quotient steps before it fails
     vars = data.draw(PACKED_VARS)
     small = packed_polys(vars, exponent=st.integers(0, 3))
     f, g = data.draw(st.one_of(
@@ -966,6 +968,66 @@ def test_packed_cofactors_check_by_tuple_kernel(data):
         assert tuple_kernel.product(_tuple_terms(part), _tuple_terms(h)) == _tuple_terms(whole)
     for p in (h, a, b):
         assert str(p) == tuple_kernel.to_str(vars, p.terms)
+
+
+def test_inexact_division_stops_at_its_least_key():
+    # x^80000 / (x - 1): an exact quotient would have least key x^80000, and
+    # the first quotient key x^79999 is below it
+    x = MPoly.variable(("x",), "x")
+    f, g = x**80000, x - MPoly.const(("x",), 1)
+    shifted = f * g + x
+    steps = []
+    real = liediff.field._mul_into
+    with mock.patch.object(liediff.field, "_mul_into",
+                           side_effect=lambda *a: steps.append(1) or real(*a)):
+        with pytest.raises(ValueError):
+            divexact(f, g)
+        with pytest.raises(ValueError):
+            divexact(shifted, x**2)  # least keys x and x^2: x^2 divides no x
+    assert len(steps) <= 1
+
+
+# -- unit operands: the products and _divide return the other operand ---------
+
+
+def _units(vars):
+    # the shared unit and a freshly built one
+    fresh = MPoly(vars, {(0,) * len(vars): 1})
+    return liediff.field._unit(vars), fresh
+
+
+@PROPERTY
+@given(data=st.data())
+def test_unit_operand_returns_the_other_mpoly(data):
+    vars = data.draw(PACKED_VARS)
+    a = data.draw(packed_polys(vars))
+    for one in _units(vars):
+        # when a is a unit too, either operand is the product
+        assert a * one is a and (one * a is a or a._is_one())
+        assert (a * one).terms == tuple_kernel.product(_tuple_terms(a), _tuple_terms(one))
+    assert a._divide(1) is a and a._divide(Fraction(1)) is a
+
+
+@PROPERTY
+@given(data=st.data())
+def test_unit_operand_returns_the_other_ratfunc(data):
+    vars = data.draw(st.sampled_from([("x",), ("x", "y"), XYZ]))
+    a = data.draw(ratfuncs(vars))
+    for u in _units(vars):
+        one = RatFunc(u, u)
+        assert a * one is a and (one * a is a or a.is_one())
+        for got, want in [((a * one).num, a.num), ((a * one).den, a.den)]:
+            assert got.terms == tuple_kernel.product(_tuple_terms(want), _tuple_terms(u))
+
+
+def test_unit_over_other_variables_raises():
+    a = MPoly.variable(XYZ, "x")
+    for one in _units(("x", "y")):
+        for product in (lambda: a * one, lambda: one * a,
+                        lambda: RatFunc.from_poly(a) * RatFunc(one, one),
+                        lambda: RatFunc(one, one) * RatFunc.from_poly(a)):
+            with pytest.raises(UnknownVariable):
+                product()
 
 
 def test_ceiling_exponent_round_trips():
