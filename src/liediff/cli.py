@@ -53,6 +53,8 @@ def _read_json(path: str):
     except ValueError as e:
         # an integer past the interpreter's int-string limit, which stays in force
         raise SchemaError(f"'{path}' holds an integer too long to read: {e}") from e
+    except RecursionError:
+        raise SchemaError(f"'{path}' is nested too deeply to read") from None
 
 
 def _json_text(value, what: str) -> str:
@@ -112,8 +114,8 @@ def presentation_from_obj(obj) -> Presentation:
     if (
         not isinstance(vars, list)
         or not vars
-        or len(set(vars)) != len(vars)
         or not all(isinstance(v, str) and _IDENT.match(v) for v in vars)
+        or len(set(vars)) != len(vars)
     ):
         raise SchemaError("'vars' must be a nonempty list of distinct identifiers")
     vars = tuple(vars)

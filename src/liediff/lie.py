@@ -60,10 +60,10 @@ class StructureConstants(_Record):
 class Presentation(_Record):
     """A base field Q(vars) with n derivation actions and structure constants.
 
-    Equality and hashing are by identity.  ``_pbw`` holds the entries of
-    ``ops.PBWTable`` over the presentation, which every call shares; it is
-    left out of the constructor and the repr, so a new ``Presentation`` over
-    the same parts starts with an empty table."""
+    Equality and hashing are by identity.  ``_pbw`` is the presentation's
+    PBW table, the normal-ordering entries that ``ops._entry`` fills and
+    every call shares; it is left out of the constructor and the repr, so a
+    new ``Presentation`` over the same parts starts with an empty table."""
 
     __slots__ = ("vars", "derivations", "alpha", "_pbw")
     _fields = ("vars", "derivations", "alpha")

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .field import RatFunc, SparseSum, _add_to, derive, format_sum, lincomb
 from .lie import Presentation
-from .ops import PBWTable, _multi_index, _derivatives
+from .ops import _derivatives, _entry, _multi_index
 
 # A generator is a multi-index (tuple of ints) for X_I or a string for a slot.
 
@@ -114,6 +114,13 @@ class NormalPoly(SparseSum):
     def __pow__(self, k: int) -> "NormalPoly":
         if k < 0:
             raise NegativeExponent(f"normal polynomial raised to the power {k}")
+        if len(self.terms) == 1:
+            # one term c*m: c**k times m with every exponent times k, where
+            # k products would cost time linear in k
+            ((m, c),) = self.terms.items()
+            return NormalPoly(self.vars, self.n, {tuple((g, e * k) for g, e in m): c**k})
+        # a sum keeps the k-fold product: squaring would multiply the large
+        # halves q^(k/2) by each other, more term products than k-1 by q
         out = NormalPoly.const(self.vars, self.n, RatFunc.const(self.vars, 1))
         for _ in range(k):
             out = out * self
@@ -146,15 +153,14 @@ def _linear(p: Presentation, T: dict) -> NormalPoly:
 def x_action(i: int, I, p: Presentation) -> NormalPoly:
     """Image of the variable X_I under D_i: the normal form T(i, I) of
     D_i * D^I, read back as a linear normal polynomial."""
-    return _linear(p, PBWTable(p).entry(i, _multi_index(I, p.n)))
+    return _linear(p, _entry(p, i, _multi_index(I, p.n)))
 
 
 def derive_normal(i: int, q: NormalPoly, p: Presentation) -> NormalPoly:
     """Extend the derivation D_i to normal polynomials: derive coefficients,
     act on the X_I through the PBW table of the presentation, and apply
     Leibniz."""
-    table = PBWTable(p)
-    return _derive_with(i, q, p, lambda I: _linear(p, table.entry(i, I)))
+    return _derive_with(i, q, p, lambda I: _linear(p, _entry(p, i, I)))
 
 
 def _derive_with(i: int, q: NormalPoly, p: Presentation, on_x) -> NormalPoly:
@@ -268,9 +274,8 @@ def fresh_extension(p: Presentation, d: int) -> TruncatedExtension:
     each D_i sends X_0 to the distinct fresh variable X_{e_i}."""
     if d < 1:
         raise ArityMismatch("order bound must be at least 1")
-    table = PBWTable(p)
     actions = {}
     for I in indices_up_to(p.n, d - 1):
         for i in range(1, p.n + 1):
-            actions[(i, I)] = _linear(p, table.entry(i, I))
+            actions[(i, I)] = _linear(p, _entry(p, i, I))
     return TruncatedExtension(p, d, actions)

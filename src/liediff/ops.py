@@ -17,8 +17,8 @@ D_k * D^I.  With l the first index such that I_l > 0,
   T(k, I) = D_l * T(k, I - e_l) + sum_m alpha[k,l,m] * T(m, I - e_l)  (k > l)
 
 The entries depend on the presentation alone.  They are filled on demand,
-without recursion, into one table per presentation (``PBWTable``), which
-every call over that presentation shares.
+without recursion, into one table per presentation, ``Presentation._pbw``,
+which every call over that presentation shares through ``_entry``.
 """
 
 from __future__ import annotations
@@ -155,103 +155,89 @@ def _shift(I: tuple, k: int, d: int) -> tuple:
     return I[: k - 1] + (I[k - 1] + d,) + I[k:]
 
 
-class PBWTable:
-    """Normal forms T(k, I) of D_k * D^I over one presentation, as dicts
-    multi-index -> coefficient, filled on demand into the presentation's own
-    dict, so that every table over p shares the entries computed so far.
-    ``added`` counts the entries this table object computed.
-
-    Sharing is thread-safe without a lock: an entry is published only once
-    it is complete, and it is never mutated, replaced or evicted afterwards.
-    Two threads that race on one key compute equal values, and the first to
-    publish wins."""
-
-    __slots__ = ("p", "one", "entries", "added")
-
-    def __init__(self, p: Presentation):
-        self.p = p
-        self.one = RatFunc.const(p.vars, 1)
-        self.entries: dict = p._pbw
-        self.added = 0
-
-    def entry(self, k: int, I: tuple) -> dict:
-        """T(k, I), filling the entries it depends on first with an explicit
-        stack, so that long words need no deep recursion.  A missing key is
-        checked first (k in 1..n, I a multi-index of arity n), so a bad key
-        is never stored and a stored one costs no check."""
-        entries = self.entries
-        want = (k, I)
-        hit = entries.get(want)
-        if hit is not None:
-            return hit
-        self.p.derivation(k)
-        _multi_index(I, self.p.n)
-        todo = [want]
-        while todo:
-            key = todo[-1]
-            if key in entries:
-                todo.pop()
-                continue
-            k, I = key
-            # l is the first derivation in D^I; D_k * 1 is trivial too
-            l = next((j + 1 for j, e in enumerate(I) if e), k)
-            if k <= l:
-                entries.setdefault(key, {_shift(I, k, 1): self.one})
-                self.added += 1
-                todo.pop()
-                continue
-            rest = _shift(I, l, -1)
-            brackets = self.p.alpha.bracket(k, l)
-            missing = [d for d in [(k, rest)] + [(m, rest) for m, _ in brackets]
-                       if d not in entries]
-            if not missing:
-                missing = [(l, J) for J in entries[(k, rest)] if (l, J) not in entries]
-            if missing:
-                todo.extend(missing)
-                continue
+# Sharing p._pbw is thread-safe without a lock: an entry is published only
+# once it is complete, and it is never mutated, replaced or evicted
+# afterwards.  Two threads that race on one key compute equal values, and
+# the first to publish wins.
+def _entry(p: Presentation, k: int, I: tuple) -> dict:
+    """T(k, I), the normal form of D_k * D^I over p as a dict multi-index ->
+    coefficient, read from p's table.  A missing entry is filled, with the
+    entries it depends on first, by an explicit stack, so that long words
+    need no deep recursion.  A missing key is checked first (k in 1..n, I a
+    multi-index of arity n), so a bad key is never stored and a stored one
+    costs no check."""
+    entries = p._pbw
+    want = (k, I)
+    hit = entries.get(want)
+    if hit is not None:
+        return hit
+    p.derivation(k)
+    _multi_index(I, p.n)
+    one = RatFunc.const(p.vars, 1)
+    todo = [want]
+    while todo:
+        key = todo[-1]
+        if key in entries:
             todo.pop()
-            out = self.left_mul(l, entries[(k, rest)])
-            for m, c in brackets:
-                for J, t in entries[(m, rest)].items():
-                    _add_to(out, J, c * t)
-            entries.setdefault(key, out)
-            self.added += 1
-        return entries[want]
-
-    def left_mul(self, k: int, a: dict) -> dict:
-        """Normal form of D_k composed with the normal-ordered sum a."""
-        out: dict = {}
-        action = self.p.derivation(k)
-        for I, c in a.items():
-            for J, t in self.entry(k, I).items():
+            continue
+        k, I = key
+        # l is the first derivation in D^I; D_k * 1 is trivial too
+        l = next((j + 1 for j, e in enumerate(I) if e), k)
+        if k <= l:
+            entries.setdefault(key, {_shift(I, k, 1): one})
+            todo.pop()
+            continue
+        rest = _shift(I, l, -1)
+        brackets = p.alpha.bracket(k, l)
+        missing = [d for d in [(k, rest)] + [(m, rest) for m, _ in brackets]
+                   if d not in entries]
+        if not missing:
+            missing = [(l, J) for J in entries[(k, rest)] if (l, J) not in entries]
+        if missing:
+            todo.extend(missing)
+            continue
+        todo.pop()
+        out = _left_mul(p, l, entries[(k, rest)])
+        for m, c in brackets:
+            for J, t in entries[(m, rest)].items():
                 _add_to(out, J, c * t)
-            if not c.is_const():
-                _add_to(out, I, derive(action, c))
-        return out
+        entries.setdefault(key, out)
+    return entries[want]
 
-    def mul(self, a: OpWord | NormalOperator, b: NormalOperator) -> NormalOperator:
-        """Normal form of the composition a after b, for operators over this
-        table's presentation (``op_mul`` checks that).  a is read through
-        ``_words``, so it may also be an unnormalized ``OpWord``."""
-        acc: dict = {}
-        for term in _words(a):
-            self.fold(term, b.terms, acc)
-        # the keys come from b and from table entries, checked on the way in
-        return NormalOperator._trusted(a.vars, a.n, acc)
 
-    def fold(self, factors, part: dict, acc: dict) -> None:
-        """Add to acc the normal form of the composition of factors with the
-        normal-ordered sum part: the factors are read right to left, and each
-        one left-multiplies the running sum."""
-        for f in reversed(factors):
+def _left_mul(p: Presentation, k: int, a: dict) -> dict:
+    """Normal form of D_k composed with the normal-ordered sum a."""
+    out: dict = {}
+    action = p.derivation(k)
+    for I, c in a.items():
+        for J, t in _entry(p, k, I).items():
+            _add_to(out, J, c * t)
+        if not c.is_const():
+            _add_to(out, I, derive(action, c))
+    return out
+
+
+def _compose(a: OpWord | NormalOperator, b: NormalOperator, p: Presentation) -> NormalOperator:
+    """Normal form of the composition a after b, for operators over p
+    (the callers check that).  a is read through ``_words``, so it may also
+    be an unnormalized ``OpWord``: each word's factors are read right to
+    left, each one left-multiplying the running sum that starts at b, and a
+    zero coefficient drops the word."""
+    acc: dict = {}
+    for term in _words(a):
+        part = b.terms
+        for f in reversed(term):
             if isinstance(f, int):
-                part = self.left_mul(f, part)
+                part = _left_mul(p, f, part)
             elif f.is_zero():
-                return
+                break
             elif not f.is_one():
                 part = {I: f * c for I, c in part.items()}
-        for I, c in part.items():
-            _add_to(acc, I, c)
+        else:
+            for I, c in part.items():
+                _add_to(acc, I, c)
+    # the keys come from b and from table entries, checked on the way in
+    return NormalOperator._trusted(a.vars, a.n, acc)
 
 
 def normalize(w: OpWord | NormalOperator, p: Presentation, strategy: str = "leftmost", stats: dict | None = None) -> NormalOperator:
@@ -260,17 +246,18 @@ def normalize(w: OpWord | NormalOperator, p: Presentation, strategy: str = "left
     of the presentation.
 
     ``strategy`` must be "leftmost" or "rightmost" but selects nothing: the
-    table engine has one order.  ``stats``, when given, receives the number
-    of table entries this call added under the key "steps": 0 when every
-    entry it needed was already in the presentation's table.  Both stay in
-    the signature because the benchmark's tracer (``perfbench/spans.py``)
-    passes them positionally.
+    table engine has one order.  ``stats``, when given, receives under the
+    key "steps" the growth of the presentation's table during the call: 0
+    when every entry it needed was already there.  Under concurrent calls
+    over one presentation it also counts the entries the other calls added
+    meanwhile.  Both stay in the signature because the benchmark's tracer
+    (``perfbench/spans.py``) passes them positionally.
     """
     _check_word(w, p, strategy)
-    table = PBWTable(p)
-    out = table.mul(w, NormalOperator.identity(p.vars, p.n))
+    size = len(p._pbw)
+    out = _compose(w, NormalOperator.identity(p.vars, p.n), p)
     if stats is not None:
-        stats["steps"] = table.added
+        stats["steps"] = len(p._pbw) - size
     return out
 
 
@@ -283,7 +270,7 @@ def op_mul(a: NormalOperator, b: NormalOperator, p: Presentation) -> NormalOpera
     order is free."""
     a._require_compat(b)
     _check_word(a, p)
-    return PBWTable(p).mul(a, b)
+    return _compose(a, b, p)
 
 
 def op_commutator(a: NormalOperator, b: NormalOperator, p: Presentation) -> NormalOperator:

@@ -93,7 +93,12 @@ class _Parser:
         return _int(tok.text, tok.pos)
 
     def parse(self):
-        v = self.expr()
+        try:
+            v = self.expr()
+        except RecursionError:
+            # nesting deeper than the interpreter's recursion limit
+            tok = self.toks[min(self.i, len(self.toks) - 1)]
+            raise ExprSyntaxError("expression nested too deeply", tok.pos) from None
         tok = self.peek()
         if tok.kind != "end":
             raise ExprSyntaxError(f"unexpected token '{tok.text}'", tok.pos)

@@ -233,6 +233,38 @@ class TestExitCodes:
         err = self._one_error(capsys, ["normalize", "-p", DATA / "p1.json", "2^20000"])
         assert err.startswith("error: cannot print a coefficient: ")
 
+    DEEP = "(" * 1000 + "x" + ")" * 1000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["normalize", "-p", DATA / "p1.json", DEEP],
+            ["eval", "-p", DATA / "p1.json", DEEP, "--witness", "x"],
+            ["eval", "-p", DATA / "p1.json", "X[1,0]", "--witness", DEEP],
+        ],
+        ids=["operator", "normal-polynomial", "field"],
+    )
+    def test_deep_nesting_is_a_syntax_error(self, capsys, argv):
+        # each grammar once raised RecursionError, a traceback with exit 1
+        err = self._one_error(capsys, argv)
+        assert err.startswith("error: expression nested too deeply (at offset ")
+        shallow = [a.replace(self.DEEP, "(" * 50 + "x" + ")" * 50) for a in map(str, argv)]
+        assert main(shallow) == 0
+
+    def test_deep_json_is_a_schema_error(self, capsys, tmp_path):
+        pfile = tmp_path / "p.json"
+        pfile.write_text("[" * 100_000 + "]" * 100_000)
+        err = self._one_error(capsys, ["validate", "-p", pfile])
+        assert err == f"error: '{pfile}' is nested too deeply to read\n"
+
+    @pytest.mark.parametrize("vars", [[["x"], "y"], [{"x": 1}], ["x", ["x"]]])
+    def test_unhashable_vars_are_a_schema_error(self, capsys, tmp_path, vars):
+        # set(vars) once raised TypeError before the element types were checked
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps({"vars": vars, "derivations": [{"action": {"y": "1"}}]}))
+        err = self._one_error(capsys, ["validate", "-p", pfile])
+        assert err == "error: 'vars' must be a nonempty list of distinct identifiers\n"
+
     def test_integer_expressions_accepted(self, capsys, tmp_path):
         obj = json.loads((DATA / "p1.json").read_text())
         obj["derivations"][1]["action"]["y"] = 1

@@ -27,7 +27,7 @@ from liediff import (
 )
 from liediff import normalpoly, ops
 from liediff.normalpoly import x_action
-from conftest import cold_copy, rand_npoly, rand_poly, rand_ratfunc
+from conftest import DATA, cold_copy, rand_npoly, rand_poly, rand_ratfunc, run_python
 from oracles import rewrite_normalize
 
 
@@ -162,6 +162,52 @@ class TestPow:
     def test_negative_power_rejected(self, p1):
         with pytest.raises(NegativeExponent):
             np_("X[1,0]", p1) ** -1
+
+    @pytest.mark.parametrize(
+        "pres, text",
+        [
+            ("p1", "X[1,0] - x*X[0,1] + 1/y"),
+            ("p1", "-2*x*X[1,0]^2*X[0,1]/y"),
+            ("p_nc", "X[0,2]/x + X[1,0]^2 - 3"),
+            ("p_nc", "(x - y)/(x + 1)"),
+            ("p_heis", "z*X[1,0,0] + X[0,1,1]/2 - y"),
+            ("p_heis", "X[0,1,1]^3/z"),
+            ("p1", "s1*X[1,1] - 2*s2 + x"),
+            ("p1", "-s1^2*X[1,1]/3"),
+        ],
+    )
+    def test_power_is_the_k_fold_product(self, request, pres, text):
+        # a one-term base is raised without products; value and printing
+        # must not see it
+        pres = request.getfixturevalue(pres)
+        q = np_(text, pres)
+        want = np_("1", pres)
+        for k in range(13):
+            got = q**k
+            assert got == want and str(got) == str(want)
+            want = want * q
+
+    def test_one_term_powers_take_no_products(self):
+        # X[1,0]^1000000 once took a million products; the child counts
+        # NormalPoly products, and its timeout bounds the run if it hangs
+        code = (
+            "from liediff.cli import main\n"
+            "from liediff.normalpoly import NormalPoly\n"
+            "calls = 0\n"
+            "mul = NormalPoly.__mul__\n"
+            "def counted(a, b):\n"
+            "    global calls\n"
+            "    calls += 1\n"
+            "    return mul(a, b)\n"
+            "NormalPoly.__mul__ = counted\n"
+            f"path = {str(DATA / 'p1.json')!r}\n"
+            "codes = [main(['eval', '-p', path, e, '--witness', 'x'])\n"
+            "         for e in ('X[1,0]^1000000', '3^200000 - 3^200000')]\n"
+            "print(*codes, calls)\n"
+        )
+        out = run_python(code, timeout=20)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == ["1", "0", "0 0 0"]
 
 
 class TestEvalHom:

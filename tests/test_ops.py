@@ -27,7 +27,7 @@ from liediff import (
 )
 from liediff.normalpoly import x_action
 from liediff import ops
-from liediff.ops import PBWTable
+from liediff.ops import _entry
 from conftest import cold_copy, make_presentation, rand_poly, rand_word, word
 from oracles import rewrite_normalize
 
@@ -239,12 +239,12 @@ class TestSharedTable:
     )
     def test_bad_keys_raise_and_are_not_stored(self, p_nc, key, error):
         pres = cold_copy(p_nc)
-        PBWTable(pres).entry(2, (1, 1))
+        _entry(pres, 2, (1, 1))
         raised = []
 
         def call():
             try:
-                PBWTable(pres).entry(*key)
+                _entry(pres, *key)
             except error as e:
                 raised.append(e)
 
