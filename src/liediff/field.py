@@ -35,7 +35,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd as _igcd, isqrt as _isqrt, lcm as _ilcm
-from operator import or_
+from operator import mul, or_, sub
 
 from .errors import (
     ArityMismatch,
@@ -479,6 +479,11 @@ _EVAL_POINTS = (2, 3, 5, 7, 11, 13, -2, -3, -5, 17)
 _GCD_PRIME = 2147483647
 
 
+def _eval_point(nv: int, attempt: int) -> list[int]:
+    # the attempt-th of the fixed integer points tried over nv variables
+    return [_EVAL_POINTS[(j + 3 * attempt) % len(_EVAL_POINTS)] for j in range(nv)]
+
+
 def _univariate_image(f: MPoly, m: int, point) -> dict:
     # substitute integers for every variable except m, working mod a prime;
     # f is primitive, so its coefficients are ints: _pp_gcd_prs only sees
@@ -530,7 +535,7 @@ def _image_degree_bound(f: MPoly, g: MPoly, m: int, df: int, dg: int) -> int | N
     when no such point is found quickly."""
     nv = len(f.vars)
     for attempt in range(4):
-        point = [_EVAL_POINTS[(j + 3 * attempt) % len(_EVAL_POINTS)] for j in range(nv)]
+        point = _eval_point(nv, attempt)
         fu = _univariate_image(f, m, point)
         gu = _univariate_image(g, m, point)
         if fu and gu and max(fu) == df and max(gu) == dg:
@@ -1154,3 +1159,68 @@ def _lcm_cofactors(dens: list[MPoly]) -> tuple[MPoly, list[MPoly]]:
         suffix = g * suffix
     cofactors.reverse()
     return L, cofactors
+
+
+def coprime_basis(dens: Iterable[MPoly], vars: tuple[str, ...]) -> tuple[list[MPoly], dict]:
+    """(B, exps): B pairwise coprime primitive polynomials over vars and,
+    for each of the integer polynomials dens (positive leading
+    coefficients), exps[d] = (c, e) with d = c * prod_i B[i]^e[i], c the
+    content of d.  B comes from factor refinement (Bach, Driscoll and
+    Shallit, J. Algorithms 1993) in first-seen order: a factor g shared by
+    a = g*a1 and b = g*b1 replaces them by a1, b1 and g, each keeping its
+    multiplicity in every input; the total degree falls at each split.
+    When every primitive part is a power product, B is the variables and
+    no gcd is taken."""
+    pps = {}
+    for d in dens:
+        if d not in pps:
+            c = d.content()
+            pps[d] = c, d._divide(c)
+    if all(len(q.packed) == 1 for _, q in pps.values()):
+        B = [MPoly.variable(vars, v) for v in vars]
+        return B, {d: (c, _unpack(next(iter(q.packed)), len(vars))) for d, (c, q) in pps.items()}
+    polys = dict.fromkeys(q for _, q in pps.values() if not q.is_const())
+    todo = [(q, {q: 1}) for q in reversed(polys)]
+    items: list[tuple[MPoly, dict]] = []  # (element, input -> multiplicity)
+    while todo:
+        a, ma = todo.pop()
+        for i, (b, mb) in enumerate(items):
+            g, a1, b1 = mpoly_cofactors(a, b)
+            if not g.is_const():
+                del items[i]
+                mg = {q: ma.get(q, 0) + mb.get(q, 0) for q in {**ma, **mb}}
+                todo += [(q, m) for q, m in ((a1, ma), (b1, mb), (g, mg)) if not q.is_const()]
+                break
+        else:
+            items.append((a, ma))
+    exps = {d: (c, tuple(m.get(q, 0) for _, m in items)) for d, (c, q) in pps.items()}
+    return [b for b, _ in items], exps
+
+
+def _basis_power(e: tuple, B: list[MPoly], powers: dict, vars: tuple[str, ...]) -> MPoly:
+    # prod_i B[i]^e[i], kept in powers
+    p = powers.get(e)
+    if p is None:
+        p = powers[e] = reduce(mul, (b**k for b, k in zip(B, e) if k), _unit(vars))
+    return p
+
+
+def basis_sum(groups: dict, B: list[MPoly], powers: dict, vars: tuple[str, ...]) -> RatFunc:
+    """The sum of t / (c * prod_i B[i]^e[i]) over the items (c, e): t of
+    groups, t packed int terms and B a coprime basis, normalized once, as
+    ``lincomb`` sums its groups.  The lcm is lcm(c) * B^max(e), and each
+    cofactor an integer times a product of basis powers, kept in powers
+    across calls: no gcd is taken before the final ``ratfunc_normalize``."""
+    nonzero = [(key, t) for key, t in groups.items() if t]
+    if not nonzero:
+        return RatFunc.zero(vars)
+    c = _ilcm(*(ci for (ci, _), _ in nonzero))
+    e = tuple(map(max, zip(*(ei for (_, ei), _ in nonzero))))
+    t = {}
+    for (ci, ei), n in nonzero:
+        cofactor = _basis_power(tuple(map(sub, e, ei)), B, powers, vars)._scale(c // ci)
+        _mul_into(t, n, cofactor.packed, len(vars))
+    if not t:
+        return RatFunc.zero(vars)
+    num, den = _mpoly(vars, t), _basis_power(e, B, powers, vars)._scale(c)
+    return RatFunc(num, den) if den._is_one() else ratfunc_normalize(num, den)

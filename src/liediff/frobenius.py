@@ -8,22 +8,33 @@ forward pass clears below the pivots and gives the rank and the pivot
 columns.  The full pass also clears above them; the rows divided by the last
 pivot are then the reduced row echelon form, which gives inverses, null
 vectors and the commuting basis.
+
+``matrix_rank`` tries a certified filter first: the matrix's image in
+GF(p) at a fixed point where no denominator vanishes.  A full-rank image
+proves full rank over Q(x); any other image leaves the rank to the
+elimination.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 from .errors import (
     ArityMismatch,
     CommutationFailure,
     InvariantBroken,
     NotIndependent,
+    UnknownVariable,
     Violation,
     _Record,
 )
 from .field import (
+    _GCD_PRIME,
     DerivationAction,
     MPoly,
     RatFunc,
+    _eval_point,
+    _unpack,
     common_denominator,
     divexact,
     ratfunc_normalize,
@@ -62,9 +73,56 @@ def _eliminate(mat: Matrix, full: bool) -> tuple[list[list[MPoly]], list[int], M
     return rows, pivots, prev
 
 
+def _width(mat: Matrix) -> int:
+    # the common length of the rows of a nonempty matrix over one variable
+    # tuple; the filter reads packed keys, which the tuple's length decodes
+    width = len(mat[0])
+    if not width or any(len(row) != width for row in mat):
+        raise ArityMismatch("matrix rows must be nonempty and of one length")
+    if any(x.vars != mat[0][0].vars for row in mat for x in row):
+        raise UnknownVariable("matrix entries over different variable tuples")
+    return width
+
+
+def _image_rank(mat: Matrix) -> int | None:
+    """The rank of mat's image in GF(p), p = _GCD_PRIME, at the first of a
+    few fixed points where no denominator vanishes mod p; None if none does.
+    A minor nonzero there is nonzero over Q(x), so this bounds the rank
+    over Q(x) from below."""
+    p, nv = _GCD_PRIME, len(mat[0][0].vars)
+    for attempt in range(4):
+        point = _eval_point(nv, attempt)
+
+        def at(f):
+            return sum(c * prod(map(pow, point, _unpack(k, nv), [p] * nv)) for k, c in f.packed.items())
+
+        try:
+            rows = [[at(x.num) * pow(at(x.den), -1, p) % p for x in row] for row in mat]
+        except ValueError:  # a denominator is not invertible mod p
+            continue
+        rank = 0
+        for c in range(len(rows[0])):
+            piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+            if piv is not None:
+                rows[rank], rows[piv] = rows[piv], rows[rank]
+                inv = pow(rows[rank][c], -1, p)
+                for i in range(rank + 1, len(rows)):
+                    f = rows[i][c] * inv
+                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+                rank += 1
+        return rank
+    return None
+
+
 def matrix_rank(mat: Matrix) -> int:
+    """The rank over the field.  A full rank of the image at a point
+    (``_image_rank``) is certain and returned at once; otherwise the
+    fraction-free elimination decides."""
     if not mat:
         return 0
+    full = min(len(mat), _width(mat))
+    if _image_rank(mat) == full:
+        return full
     return len(_eliminate(mat, full=False)[1])
 
 
@@ -82,6 +140,10 @@ def matrix_invert(mat: Matrix) -> Matrix | None:
     """Exact inverse over the field, or None if singular: reduce [mat | I],
     which is singular when a column of mat has no pivot."""
     n = len(mat)
+    if not mat:
+        return []
+    if _width(mat) != n:
+        raise ArityMismatch(f"cannot invert a {n}x{len(mat[0])} matrix")
     rows, pivots, d = _eliminate(_with_identity(mat), full=True)
     if any(c not in pivots for c in range(n)):
         return None

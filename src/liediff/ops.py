@@ -24,6 +24,7 @@ which every call over that presentation shares through ``_entry``.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from operator import add
 
 from .errors import (
     ArityMismatch,
@@ -31,7 +32,18 @@ from .errors import (
     UnknownDerivation,
     UnknownVariable,
 )
-from .field import RatFunc, SparseSum, _add_to, derive, format_sum, lincomb
+from .field import (
+    RatFunc,
+    SparseSum,
+    _add_to,
+    _derive_poly,
+    _mul_into,
+    basis_sum,
+    coprime_basis,
+    derive,
+    format_sum,
+    lincomb,
+)
 from .lie import Presentation, StructureConstants, validate_antisymmetry
 
 #: A factor of a composition term: a derivation index (1-based) or a coefficient.
@@ -339,8 +351,10 @@ def first_order_brackets(rows, p: Presentation, beta: StructureConstants | None 
     ``out[l][k][j]`` also subtracts sum_m beta[l,k,m] rows[m][j]: the
     residual of the bracket law [U_l, U_k] = sum_m beta[l,k,m] U_m.
 
-    Every D_i(rows[k][j]) is derived once, and every computed entry is one
-    sum of products (``lincomb``), normalized once.  When alpha, and beta if
+    Every D_i(rows[k][j]) is derived once, in quotient-rule form over a
+    coprime basis of the denominators (``coprime_basis``), and every
+    computed entry is one sum of products whose lcm needs no gcd
+    (``basis_sum``), normalized once.  When alpha, and beta if
     given, are antisymmetric (``validate_antisymmetry`` reports nothing), so
     is the table: each unordered pair l < k is computed once, ``out[k][l]``
     is its negation and the diagonal is zero.  Otherwise every ordered pair
@@ -370,33 +384,70 @@ def first_order_commutator(u, v, p: Presentation):
     return _brackets([u, v], [(0, 1)], p)[0]
 
 
+def _key_mul(a: tuple, b: tuple) -> tuple:
+    # the key (c, e) of the product of two denominators with keys a and b
+    return a[0] * b[0], tuple(map(add, a[1], b[1]))
+
+
+def _derive_unreduced(D, x: RatFunc, exps: dict) -> tuple[dict, tuple]:
+    """D(x) for x = N/R as (packed numerator, denominator key) over the keys
+    exps of a coprime basis, by the quotient rule and without a gcd:
+    (R*D'N - N*D'R) / (Q*R^2), or D'N / (Q*R) when D'R = 0, with Q the
+    common denominator of D's images and D' = Q*D (``derive``)."""
+    q, r = exps[D.den], x.den
+    dn = _derive_poly(D, x.num)
+    if r._is_one():
+        return dn.packed, q
+    dr = _derive_poly(D, r)
+    if dr.is_zero():
+        return dn.packed, _key_mul(q, exps[r])
+    return (r * dn - x.num * dr).packed, _key_mul(q, _key_mul(exps[r], exps[r]))
+
+
 def _brackets(rows, pairs, p: Presentation, beta: StructureConstants | None = None) -> list:
     # the brackets [U_l, U_k] for the (l, k) in pairs, in that order, less
-    # sum_m beta[l,k,m] U_m when beta is given; each coefficient is one
-    # lincomb of the U_l(rows[k][j]) and U_k(rows[l][j]) products, the alpha
-    # terms and the beta terms
-    n = p.n
+    # sum_m beta[l,k,m] U_m when beta is given.  Every denominator met is a
+    # product of those of the row entries, of the derivations' images and of
+    # alpha and beta, so these are refined once into a coprime basis, and
+    # each fraction is carried unreduced as a packed numerator over a key
+    # (c, e), the denominator c * prod B^e; each coefficient is one
+    # basis_sum of products of such fractions.
+    n, vars = p.n, p.vars
     if any(len(row) != n for row in rows):
         raise ArityMismatch("coefficient vectors must have one slot per derivation")
-    # d[k][j] = (D_1(rows[k][j]), ..., D_n(rows[k][j]))
-    d = [[[derive(D, x) for D in p.derivations] for x in row] for row in rows]
-    out = []
+    if any(x.vars != vars for row in rows for x in row):
+        raise UnknownVariable("coefficient over a different variable tuple")
+    consts = [*p.alpha.entries.values(), *(beta.entries.values() if beta is not None else ())]
+    B, exps = coprime_basis(
+        [x.den for row in rows for x in row] + [D.den for D in p.derivations] + [c.den for c in consts],
+        vars,
+    )
+    # f[k][j] = rows[k][j], g[k][j] = -rows[k][j] and d[k][j][i] =
+    # D_(i+1)(rows[k][j]), each as (packed numerator, key)
+    f = [[(x.num.packed, exps[x.den]) for x in row] for row in rows]
+    g = [[((-x.num).packed, exps[x.den]) for x in row] for row in rows]
+    d = [[[_derive_unreduced(D, x, exps) for D in p.derivations] for x in row] for row in rows]
+    nv, powers, out = len(vars), {}, []
     for l, k in pairs:
-        u, v = rows[l], rows[k]
-        extra = [[] for _ in range(n)]
+        groups = [{} for _ in range(n)]
+
+        def put(j, a, b):
+            # add the product a*b into coefficient j's group of its key
+            if a[0] and b[0]:
+                _mul_into(groups[j].setdefault(_key_mul(a[1], b[1]), {}), a[0], b[0], nv)
+
+        for j in range(n):
+            for i in range(n):
+                put(j, f[l][i], d[k][j][i])
+                put(j, g[k][i], d[l][j][i])
         for r in range(n):
             for s in range(n):
                 for m, c in p.alpha.bracket(r + 1, s + 1):
-                    extra[m - 1].append((u[r] * c, v[s]))
+                    x = rows[l][r]
+                    put(m - 1, ((x.num * c.num).packed, _key_mul(f[l][r][1], exps[c.den])), f[k][s])
         if beta is not None:
             for m, c in beta.bracket(l + 1, k + 1):
                 for j in range(n):
-                    extra[j].append((-c, rows[m - 1][j]))
-        out.append([
-            lincomb(
-                [*zip(u, d[k][j]), *((-a, e) for a, e in zip(v, d[l][j])), *extra[j]],
-                p.vars,
-            )
-            for j in range(n)
-        ])
+                    put(j, ((-c.num).packed, exps[c.den]), f[m - 1][j])
+        out.append([basis_sum(group, B, powers, vars) for group in groups])
     return out

@@ -1,5 +1,6 @@
-"""The rewrite engine, kept as the tests' reference for the table engine
-``liediff.ops.normalize``.
+"""Reference paths for the tests: the rewrite engine, the reference for the
+table engine ``liediff.ops.normalize``, and ``brackets_reference``, the
+reference for the first-order brackets ``liediff.ops._brackets``.
 
 ``rewrite_normalize`` rewrites redexes with two rules:
 
@@ -17,7 +18,17 @@ every step and raises ``InvariantBroken`` if it fails, also under
 
 from __future__ import annotations
 
-from liediff import InvariantBroken, NormalOperator, OpWord, Presentation, RatFunc, derive
+from liediff import (
+    ArityMismatch,
+    InvariantBroken,
+    NormalOperator,
+    OpWord,
+    Presentation,
+    RatFunc,
+    StructureConstants,
+    derive,
+    lincomb,
+)
 from liediff.field import _add_to
 from liediff.ops import _check_word, _words
 
@@ -111,3 +122,37 @@ def rewrite_normalize(w: OpWord | NormalOperator, p: Presentation, strategy: str
     if stats is not None:
         stats["steps"] = steps
     return NormalOperator(w.vars, w.n, acc)
+
+
+def brackets_reference(rows, pairs, p: Presentation, beta: StructureConstants | None = None) -> list:
+    """The brackets [U_l, U_k] of U_l = sum_i rows[l][i] D_i for the (l, k)
+    in pairs, less sum_m beta[l,k,m] U_m when beta is given, with the
+    contract of ``liediff.ops._brackets``: each coefficient is one
+    ``lincomb`` of the U_l(rows[k][j]) and U_k(rows[l][j]) products, the
+    alpha terms and the beta terms, each D_i(rows[k][j]) a reduced
+    ``derive``, and the lcm of each sum found by ``lincomb``'s own route."""
+    n = p.n
+    if any(len(row) != n for row in rows):
+        raise ArityMismatch("coefficient vectors must have one slot per derivation")
+    # d[k][j] = (D_1(rows[k][j]), ..., D_n(rows[k][j]))
+    d = [[[derive(D, x) for D in p.derivations] for x in row] for row in rows]
+    out = []
+    for l, k in pairs:
+        u, v = rows[l], rows[k]
+        extra = [[] for _ in range(n)]
+        for r in range(n):
+            for s in range(n):
+                for m, c in p.alpha.bracket(r + 1, s + 1):
+                    extra[m - 1].append((u[r] * c, v[s]))
+        if beta is not None:
+            for m, c in beta.bracket(l + 1, k + 1):
+                for j in range(n):
+                    extra[j].append((-c, rows[m - 1][j]))
+        out.append([
+            lincomb(
+                [*zip(u, d[k][j]), *((-a, e) for a, e in zip(v, d[l][j])), *extra[j]],
+                p.vars,
+            )
+            for j in range(n)
+        ])
+    return out

@@ -110,6 +110,29 @@ class TestMatrixHelpers:
         assert matrix_invert(matrix(p1, [["1", "x"], ["y", "x*y"]])) is None
         assert matrix_invert(matrix(p1, [["0", "1"], ["0", "x"]])) is None
 
+    def test_ragged_empty_and_non_square_shapes(self, p1):
+        # these once gave a wrong "inverse" ([[1/x], [(x - 1)/x^2]]), a rank
+        # of 1 and an IndexError; the shape is checked before the filter
+        one, x = rf("1", p1), rf("x", p1)
+        for call in (
+            lambda: matrix_invert([[one, x], [x]]),
+            lambda: matrix_rank([[one], [x, one]]),
+            lambda: matrix_rank([[]]),
+            lambda: matrix_rank([[one, x], []]),
+            lambda: matrix_invert([[one, x]]),
+            lambda: matrix_invert([[one], [x]]),
+        ):
+            with pytest.raises(ArityMismatch):
+                call()
+        assert matrix_rank([]) == 0 and matrix_invert([]) == []
+        assert matrix_rank([[one, x]]) == 1 and matrix_rank([[one], [x]]) == 1
+        # an entry over another variable tuple is refused, as Bareiss's
+        # products refuse it, before the filter could decode it wrongly
+        z = parse_field_expr("z", ("x", "y", "z"))
+        for mat in ([[x], [z]], [[z, x]]):
+            with pytest.raises(UnknownVariable):
+                matrix_rank(mat)
+
     def test_invert_roundtrip(self, p1, p_heis):
         rng = random.Random(81)
         for pres, size in [(p1, 2)] * 10 + [(p_heis, 3)] * 6:
@@ -334,16 +357,35 @@ def _skewed(pres, rng):
 
 
 class TestFirstOrderBrackets:
+    def test_basis_check_gcd_counts(self, p_nc, p_heis, gcd_calls):
+        # p_nc: four coprime linear denominators and alpha's x take 10
+        # refinement gcds, and the one unordered pair's two coefficients one
+        # final normalization each (28 on the lincomb path, which reduces
+        # every derivative and every alpha product).  heis: the denominators
+        # are power products, so the basis is the variables and only the
+        # nine final normalizations take a gcd (34 on the lincomb path)
+        A = matrix(p_nc, [["(2*x + 1)/(y + 3)", "(x - 1)/(3*y - 2)"],
+                          ["(y + 2)/(x + 4)", "(2*y - 1)/(x - 3)"]])
+        gcd_calls.clear()
+        change_basis_check(A, p_nc.alpha, p_nc)
+        assert len(gcd_calls) <= 13
+        A = matrix(p_heis, [["(2*x + 1)/y", "x - 1", "(y + 2)/z"],
+                            ["(y + 2)/x", "3*z - 1", "y/(2*x)"],
+                            ["1", "(x + z)/y", "(2*z - 3)/x"]])
+        gcd_calls.clear()
+        change_basis_check(A, p_heis.alpha, p_heis)
+        assert len(gcd_calls) <= 9
+
     def test_derives_each_entry_once(self, p_heis, monkeypatch):
         A, _ = commuting_basis(p_heis)
         calls = []
-        derive = ops.derive
+        derive = ops._derive_unreduced
 
-        def counting(action, f):
+        def counting(action, f, exps):
             calls.append(action.name)
-            return derive(action, f)
+            return derive(action, f, exps)
 
-        monkeypatch.setattr(ops, "derive", counting)
+        monkeypatch.setattr(ops, "_derive_unreduced", counting)
         assert commuting_check(A, p_heis) == []
         assert len(calls) == 27  # n^3 for n = 3: D_i of every entry A[k][j]
 
@@ -353,7 +395,7 @@ class TestFirstOrderBrackets:
         # every entry of A is still derived once by each D_i
         rng = random.Random(88)
         A = [[rand_ratfunc(rng, p_heis.vars, 1) for _ in range(3)] for _ in range(3)]
-        calls = {"derive": 0, "lincomb": 0}
+        calls = {"_derive_unreduced": 0, "basis_sum": 0}
 
         def counting(name):
             real = getattr(ops, name)
@@ -367,7 +409,7 @@ class TestFirstOrderBrackets:
         for name in calls:
             monkeypatch.setattr(ops, name, counting(name))
         report = change_basis_check(A, p_heis.alpha, p_heis)
-        assert calls == {"derive": 27, "lincomb": 9}
+        assert calls == {"_derive_unreduced": 27, "basis_sum": 9}
         assert [str(v) for v in report] == _per_pair_report(A, p_heis.alpha, p_heis)
 
     @pytest.mark.parametrize("fixture", ["p1", "p_nc", "p_heis"])
@@ -396,22 +438,29 @@ class TestFirstOrderBrackets:
     def test_commutator_computes_only_its_entry(self, p_heis, monkeypatch):
         # with antisymmetric constants a table of k rows computes k(k-1)/2
         # brackets, so three rows (three pairs) are needed to see that the
-        # commutator computes fewer products than a whole table
+        # commutator adds fewer products than a whole table
         rng = random.Random(87)
         u, v, w = [[rand_ratfunc(rng, p_heis.vars, 1) for _ in range(3)] for _ in range(3)]
         calls = []
-        mul = RatFunc.__mul__
+        mul = ops._mul_into
 
-        def counting(a, b):
+        def counting(*args):
             calls.append(1)
-            return mul(a, b)
+            return mul(*args)
 
-        monkeypatch.setattr(RatFunc, "__mul__", counting)
+        monkeypatch.setattr(ops, "_mul_into", counting)
         got = first_order_commutator(u, v, p_heis)
         one = len(calls)
         table = ops.first_order_brackets([u, v, w], p_heis)
         assert got == table[0][1]
         assert one < len(calls) - one
+
+    def test_rows_over_other_variables_raise(self, p1):
+        xyz = ("x", "y", "z")
+        u = [parse_field_expr("z", xyz), parse_field_expr("1", xyz)]
+        v = matrix(p1, [["x", "1/y"]])[0]
+        with pytest.raises(UnknownVariable):
+            first_order_commutator(u, v, p1)
 
     def test_commutator_is_one_bracket(self, p_nc):
         rng = random.Random(86)

@@ -107,15 +107,17 @@ class TestLongWords:
         assert got == mono(p1, (1500, 1)) + mono(p1, (1500, 0), "-1500")
 
     def test_scaling_word_is_sound_and_fast(self, p1):
-        pres = cold_copy(p1)  # a cold table: time every entry
-        w = word(pres, (2, 1) * 10)
+        # (D2*D1)^k on a cold table fills exactly 2k(k+1) entries, the count
+        # that replaces the rewrite engine's exponential step count
+        pres = cold_copy(p1)
+        k = 10
+        w = word(pres, (2, 1) * k)
         rng = random.Random(106)
         polys = [RatFunc.from_poly(rand_poly(rng, pres.vars, 3)) for _ in range(20)]
-        start = time.perf_counter()
         nf = normalize(w, pres)
+        assert len(pres._pbw) == 2 * k * (k + 1) == 220
         for f in polys:
             assert apply_operator(nf, f, pres) == apply_operator(w, f, pres)
-        assert time.perf_counter() - start < 1.0
 
 
 

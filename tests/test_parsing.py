@@ -93,26 +93,35 @@ class TestOperatorGrammar:
 
     def test_coefficient_power_reaches_the_degree_ceiling(self):
         # a coefficient power goes straight to the field's degree ceiling,
-        # not through k products; a child process bounds the run if it hangs
+        # not through k products: once the presentation is loaded (its
+        # validation multiplies), the child counts the kernel's products,
+        # each of which passes through field._mul_into, and its timeout
+        # bounds the run if it hangs
         code = (
-            "import time\n"
+            "import liediff.cli as cli\n"
+            "import liediff.field as field\n"
             "from liediff import DegreeOverflow, parse_operator_expr\n"
-            "from liediff.cli import load_presentation, main\n"
-            f"path = {str(DATA / 'p1.json')!r}\n"
-            "start = time.perf_counter()\n"
-            "code = main(['normalize', '-p', path, 'x^2147483648'])\n"
+            f"pres = cli.load_presentation({str(DATA / 'p1.json')!r})\n"
+            "cli.load_presentation = lambda path, validate=True: pres\n"
+            "products = []\n"
+            "real = field._mul_into\n"
+            "def counting(*args):\n"
+            "    products.append(1)\n"
+            "    return real(*args)\n"
+            "field._mul_into = counting\n"
+            "code = cli.main(['normalize', '-p', 'p1.json', 'x^2147483648'])\n"
             "try:\n"
-            "    parse_operator_expr('x^2147483648', load_presentation(path))\n"
+            "    parse_operator_expr('x^2147483648', pres)\n"
             "    raise SystemExit('parse_operator_expr did not raise DegreeOverflow')\n"
             "except DegreeOverflow:\n"
             "    pass\n"
-            "print(code, time.perf_counter() - start)\n"
+            "print(code, len(products))\n"
         )
         out = run_python(code, timeout=20)
         assert out.returncode == 0, out.stderr
         assert "reaches the ceiling 2^31" in out.stderr
-        status, seconds = out.stdout.split()
-        assert status == "2" and float(seconds) < 1.0
+        status, products = out.stdout.split()
+        assert status == "2" and products == "0"
 
     def test_unknown_derivation(self, p1):
         with pytest.raises(UnknownDerivation):

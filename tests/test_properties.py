@@ -34,12 +34,14 @@ from liediff import (  # noqa: E402
     DerivationAction,
     MPoly,
     OpWord,
+    Presentation,
     RatFunc,
     StructureConstants,
     apply_operator,
     derive,
     divexact,
     lincomb,
+    matrix_rank,
     mpoly_gcd,
     normalize,
     parse_field_expr,
@@ -49,10 +51,11 @@ from liediff import (  # noqa: E402
 )
 from liediff import DegreeOverflow, NormalOperator, NormalPoly, UnknownVariable, op_mul, ops  # noqa: E402
 from conftest import DATA, cold_copy, quotient_rule_reference, rand_npoly  # noqa: E402
-from oracles import rewrite_normalize  # noqa: E402
+from oracles import brackets_reference, rewrite_normalize  # noqa: E402
+from liediff.frobenius import _eliminate, _image_rank  # noqa: E402
 from liediff.cli import main  # noqa: E402
 import tuple_kernel  # noqa: E402
-from liediff.field import mpoly_cofactors  # noqa: E402
+from liediff.field import _eval_point, coprime_basis, mpoly_cofactors  # noqa: E402
 
 
 def coefficients(vars):
@@ -865,6 +868,136 @@ def test_antisymmetry_report_equals_sitewise_sums(p_nc, data):
     alpha = StructureConstants.from_entries(n, p_nc.vars, entries)
     got = [(v.where, v.residual) for v in validate_antisymmetry(alpha)]
     assert got == _antisymmetry_reference(alpha)
+
+
+# -- first-order brackets over a coprime basis against the lincomb reference -
+
+
+def _shared_entries(vars, R):
+    """Fractions over denominators that share the factor R, repeat it or
+    carry an integer content (1, R, R^2, R*x, 2*R, 3, 2*x^2), and zeros."""
+    x = MPoly.variable(vars, vars[0])
+    dens = [MPoly.const(vars, 1), R, R * R, R * x, R._scale(2), MPoly.const(vars, 3), (x * x)._scale(2)]
+    fraction = st.builds(ratfunc_normalize, polys(vars, max_deg=2), st.sampled_from(dens))
+    return st.one_of(st.just(RatFunc.zero(vars)), fraction)
+
+
+def _shared_factor(vars, data):
+    # a nonconstant polynomial with a positive leading coefficient
+    R = data.draw(polys(vars, max_deg=1).filter(lambda p: not p.is_const()))
+    return R._scale(-1) if R._lc() < 0 else R
+
+
+def _basis_equals_reference(rows, pres, beta):
+    # every ordered pair, so the diagonal and both orders are compared too
+    n = len(rows)
+    pairs = [(l, k) for l in range(n) for k in range(n)]
+    got = ops._brackets(rows, pairs, pres, beta)
+    ref = brackets_reference(rows, pairs, pres, beta)
+    assert got == ref
+    assert [[str(c) for c in b] for b in got] == [[str(c) for c in b] for b in ref]
+
+
+@BRACKETS
+@given(data=st.data())
+def test_basis_brackets_equal_reference_presentations(p1, p_nc, p_heis, data):
+    for pres in (p1, p_nc, p_heis):
+        entry = _shared_entries(pres.vars, _shared_factor(pres.vars, data))
+        rows = [[data.draw(entry) for _ in range(pres.n)] for _ in range(pres.n)]
+        zero = StructureConstants.zero(pres.n, pres.vars)
+        for beta in (None, pres.alpha, zero, _antisymmetric(pres.n, pres.vars, data)):
+            _basis_equals_reference(rows, pres, beta)
+
+
+@BRACKETS
+@given(data=st.data(), n=st.integers(1, 3))
+def test_basis_brackets_equal_reference_random_presentations(data, n):
+    # images and structure constants over the same shared factors as the
+    # rows, so the basis must split, merge and repeat factors across all
+    # three sources; the bracket law need not hold for the formula
+    R = _shared_factor(XYZ, data)
+    entry = _shared_entries(XYZ, R)
+    actions = tuple(
+        DerivationAction(f"D{i + 1}", XYZ, tuple(data.draw(entry) for _ in XYZ)) for i in range(n)
+    )
+    alpha = StructureConstants.from_entries(n, XYZ, {
+        (k, l, m): data.draw(entry)
+        for k in range(1, n + 1) for l in range(1, n + 1) for m in range(1, n + 1)
+        if data.draw(st.booleans())
+    })
+    pres = Presentation(XYZ, actions, alpha)
+    rows = [[data.draw(entry) for _ in range(n)] for _ in range(data.draw(st.integers(1, 3)))]
+    beta = StructureConstants.from_entries(len(rows), XYZ, {
+        (l, k, m): data.draw(entry)
+        for l in range(1, len(rows) + 1) for k in range(1, len(rows) + 1)
+        for m in range(1, len(rows) + 1) if data.draw(st.booleans())
+    })
+    for b in (None, beta):
+        _basis_equals_reference(rows, pres, b)
+
+
+def test_coprime_basis_refines_shared_factors():
+    # x*(x + 1), (x + 1)^2*y and 2*x*y share x, x + 1 and y pairwise: the
+    # basis holds each once, and every input is its content times basis powers
+    vars = ("x", "y")
+    dens = [parse_field_expr(s, vars).num for s in ("x^2 + x", "(x + 1)^2*y", "2*x*y", "4", "x + 1")]
+    B, exps = coprime_basis(dens, vars)
+    assert sorted(str(b) for b in B) == ["x", "x + 1", "y"]
+    for d in dens:
+        c, e = exps[d]
+        power = MPoly.const(vars, c)
+        for b, k in zip(B, e):
+            power = power * b**k
+        assert power == d
+
+
+# -- the certified rank filter against Bareiss ------------------------------
+
+
+def _bareiss_rank(mat):
+    return len(_eliminate(mat, full=False)[1]) if mat else 0
+
+
+@PROPERTY
+@given(data=st.data(), shape=st.tuples(st.integers(1, 3), st.integers(1, 3)))
+def test_filtered_rank_equals_bareiss(data, shape):
+    # a random matrix, and the same with its last row replaced by a
+    # combination of the others, which is singular whenever it is square
+    nr, nc = shape
+    mat = [[data.draw(ratfuncs(XYZ)) for _ in range(nc)] for _ in range(nr)]
+    assert matrix_rank(mat) == _bareiss_rank(mat)
+    if nr > 1:
+        cs = [data.draw(ratfuncs(XYZ)) for _ in range(nr - 1)]
+        last = [sum((c * row[j] for c, row in zip(cs, mat)), RatFunc.zero(XYZ)) for j in range(nc)]
+        dependent = mat[:-1] + [last]
+        assert matrix_rank(dependent) == _bareiss_rank(dependent) < nr
+
+
+def test_denominator_vanishing_at_every_filter_point():
+    # x - a vanishes at each point's first coordinate: the filter finds no
+    # point and Bareiss decides
+    vars = ("x", "y")
+    den = MPoly.const(vars, 1)
+    for attempt in range(4):
+        den = den * (MPoly.variable(vars, "x") - MPoly.const(vars, _eval_point(2, attempt)[0]))
+    one, y = RatFunc.const(vars, 1), RatFunc.variable(vars, "y")
+    mat = [[ratfunc_normalize(MPoly.const(vars, 1), den), y], [one, one]]
+    assert _image_rank(mat) is None
+    assert matrix_rank(mat) == _bareiss_rank(mat) == 2
+    assert matrix_rank([mat[0], mat[0]]) == _bareiss_rank([mat[0], mat[0]]) == 1
+
+
+def test_rank_deficient_image_is_not_trusted():
+    # x - 2 and y - 3 vanish at the first filter point (2, 3): the image has
+    # rank 1 there, the matrix over Q(x, y) rank 2
+    vars = ("x", "y")
+    assert tuple(_eval_point(2, 0)) == (2, 3)
+    x2, y3 = parse_field_expr("x - 2", vars), parse_field_expr("(y - 3)/(x + 1)", vars)
+    one, zero = RatFunc.const(vars, 1), RatFunc.zero(vars)
+    mat = [[x2, one], [zero, y3]]
+    assert _image_rank(mat) == 1
+    assert matrix_rank(mat) == 2
+    assert matrix_rank([[x2]]) == 1
 
 
 # -- the packed kernel against the tuple kernel, and the degree ceiling -------
