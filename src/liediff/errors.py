@@ -113,15 +113,19 @@ class NotIndependent(LieDiffError):
     """The derivations of the presentation are linearly dependent."""
 
 
-class CommutationFailure(LieDiffError):
-    """The constructed basis failed the commutation verification."""
+class _ReportError(LieDiffError):
+    """An error carrying its report, ``violations``, which the message
+    lists after the subclass's ``_prefix``."""
 
     def __init__(self, violations):
         self.violations = tuple(violations)
-        super().__init__(
-            "constructed basis does not commute: "
-            + "; ".join(str(v) for v in self.violations)
-        )
+        super().__init__(self._prefix + "; ".join(str(v) for v in self.violations))
+
+
+class CommutationFailure(_ReportError):
+    """The constructed basis failed the commutation verification."""
+
+    _prefix = "constructed basis does not commute: "
 
 
 class ExprSyntaxError(LieDiffError):
@@ -140,15 +144,10 @@ class SchemaError(LieDiffError):
     """A JSON input file does not match its documented schema."""
 
 
-class PresentationInvalid(LieDiffError):
+class PresentationInvalid(_ReportError):
     """A loaded presentation fails validation."""
 
-    def __init__(self, violations):
-        self.violations = tuple(violations)
-        super().__init__(
-            "presentation fails validation: "
-            + "; ".join(str(v) for v in self.violations)
-        )
+    _prefix = "presentation fails validation: "
 
 
 class Violation(_Record):

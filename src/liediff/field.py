@@ -31,10 +31,11 @@ polynomial.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd as _igcd, isqrt as _isqrt, lcm as _ilcm
+from math import gcd as _igcd, isqrt as _isqrt, lcm as _ilcm, prod
 from operator import mul, or_, sub
 
 from .errors import (
@@ -484,25 +485,23 @@ def _eval_point(nv: int, attempt: int) -> list[int]:
     return [_EVAL_POINTS[(j + 3 * attempt) % len(_EVAL_POINTS)] for j in range(nv)]
 
 
-def _univariate_image(f: MPoly, m: int, point) -> dict:
-    # substitute integers for every variable except m, working mod a prime;
-    # f is primitive, so its coefficients are ints: _pp_gcd_prs only sees
-    # primitive parts, and a primitive divided by a primitive is integral
+def _value_mod(f: MPoly, point) -> int:
+    # f at the integer point, mod _GCD_PRIME; f's coefficients are ints
     p, nv = _GCD_PRIME, len(f.vars)
-    out: dict[int, int] = {}
+    return sum(c * prod(map(pow, point, _unpack(k, nv), [p] * nv)) for k, c in f.packed.items()) % p
+
+
+def _univariate_image(f: MPoly, m: int, point) -> dict:
+    # substitute integers for every variable except m, mod _GCD_PRIME: the
+    # terms grouped by their degree in m, x_m stripped, each group evaluated
+    # once.  _pp_gcd_prs passes primitive parts, so the coefficients are ints
+    s, u = _field(len(f.vars), m)
+    groups: dict[int, dict] = {}
     for k, c in f.packed.items():
-        e = _unpack(k, nv)
-        v = c % p
-        for j, q in enumerate(e):
-            if j != m and q:
-                v = v * pow(point[j] % p, q, p) % p
-        d = e[m]
-        s = (out.get(d, 0) + v) % p
-        if s:
-            out[d] = s
-        else:
-            out.pop(d, None)
-    return out
+        d = (k >> s) & _MASK
+        groups.setdefault(d, {})[k - d * u] = c
+    images = ((d, _value_mod(_mpoly(f.vars, t), point)) for d, t in groups.items())
+    return {d: v for d, v in images if v}
 
 
 def _uni_gcd_degree(fu: dict, gu: dict) -> int:
@@ -1112,15 +1111,23 @@ def lincomb(pairs: Iterable[tuple[RatFunc, RatFunc]], vars: Sequence[str]) -> Ra
     nonzero = [(d, t) for d, t in groups.items() if t]
     if not nonzero:
         return RatFunc.zero(vars)
-    if len(nonzero) == 1:
-        ((den, t),) = nonzero
-    else:
+    if len(nonzero) > 1:
         den, cofactors = _lcm_cofactors([d for d, _ in nonzero])
-        t = {}
-        for (_, n), c in zip(nonzero, cofactors):
-            _mul_into(t, n, c.packed, nv)
-        if not t:
-            return RatFunc.zero(vars)
+        return _sum_over(vars, den, zip((t for _, t in nonzero), cofactors))
+    ((den, t),) = nonzero  # inline: a product by a unit cofactor cost apply 3%
+    num = _mpoly(vars, t)
+    return RatFunc(num, den) if den._is_one() else ratfunc_normalize(num, den)
+
+
+def _sum_over(vars: tuple[str, ...], den: MPoly, parts) -> RatFunc:
+    # the sum of n * c / den over the (n, c) in parts, normalized once: den
+    # a common multiple of the parts' denominators, n packed int terms over
+    # one of them and c its cofactor den/d
+    t: dict[int, int] = {}
+    for n, c in parts:
+        _mul_into(t, n, c.packed, len(vars))
+    if not t:
+        return RatFunc.zero(vars)
     num = _mpoly(vars, t)
     return RatFunc(num, den) if den._is_one() else ratfunc_normalize(num, den)
 
@@ -1166,11 +1173,13 @@ def coprime_basis(dens: Iterable[MPoly], vars: tuple[str, ...]) -> tuple[list[MP
     for each of the integer polynomials dens (positive leading
     coefficients), exps[d] = (c, e) with d = c * prod_i B[i]^e[i], c the
     content of d.  B comes from factor refinement (Bach, Driscoll and
-    Shallit, J. Algorithms 1993) in first-seen order: a factor g shared by
-    a = g*a1 and b = g*b1 replaces them by a1, b1 and g, each keeping its
-    multiplicity in every input; the total degree falls at each split.
-    When every primitive part is a power product, B is the variables and
-    no gcd is taken."""
+    Shallit, J. Algorithms 1993): a factor g shared by a = g*a1 and b =
+    g*b1 replaces them by a1, b1 and g, each keeping its multiplicity in
+    every input; the total degree falls at each split.  a1 resumes at b's
+    place, b1 and g (coprime to the rest) meet only each other, and a piece
+    equal to an element merges with it without a gcd; B's order depends on
+    dens alone.  When every primitive part is a power product, B is the
+    variables and no gcd is taken."""
     pps = {}
     for d in dens:
         if d not in pps:
@@ -1180,20 +1189,24 @@ def coprime_basis(dens: Iterable[MPoly], vars: tuple[str, ...]) -> tuple[list[MP
         B = [MPoly.variable(vars, v) for v in vars]
         return B, {d: (c, _unpack(next(iter(q.packed)), len(vars))) for d, (c, q) in pps.items()}
     polys = dict.fromkeys(q for _, q in pps.values() if not q.is_const())
-    todo = [(q, {q: 1}) for q in reversed(polys)]
-    items: list[tuple[MPoly, dict]] = []  # (element, input -> multiplicity)
+    todo = [(q, Counter({q: 1}), 0) for q in reversed(polys)]
+    items: list[tuple[MPoly, Counter]] = []  # (element, input -> multiplicity)
     while todo:
-        a, ma = todo.pop()
-        for i, (b, mb) in enumerate(items):
+        a, ma, start = todo.pop()
+        for i in range(start, len(items)):
+            b, mb = items[i]
+            if a == b:
+                items[i] = b, mb + ma
+                break
             g, a1, b1 = mpoly_cofactors(a, b)
             if not g.is_const():
                 del items[i]
-                mg = {q: ma.get(q, 0) + mb.get(q, 0) for q in {**ma, **mb}}
-                todo += [(q, m) for q, m in ((a1, ma), (b1, mb), (g, mg)) if not q.is_const()]
+                pieces = ((a1, ma, i), (b1, mb, len(items)), (g, ma + mb, len(items)))
+                todo += [piece for piece in pieces if not piece[0].is_const()]
                 break
         else:
             items.append((a, ma))
-    exps = {d: (c, tuple(m.get(q, 0) for _, m in items)) for d, (c, q) in pps.items()}
+    exps = {d: (c, tuple(m[q] for _, m in items)) for d, (c, q) in pps.items()}
     return [b for b, _ in items], exps
 
 
@@ -1216,11 +1229,6 @@ def basis_sum(groups: dict, B: list[MPoly], powers: dict, vars: tuple[str, ...])
         return RatFunc.zero(vars)
     c = _ilcm(*(ci for (ci, _), _ in nonzero))
     e = tuple(map(max, zip(*(ei for (_, ei), _ in nonzero))))
-    t = {}
-    for (ci, ei), n in nonzero:
-        cofactor = _basis_power(tuple(map(sub, e, ei)), B, powers, vars)._scale(c // ci)
-        _mul_into(t, n, cofactor.packed, len(vars))
-    if not t:
-        return RatFunc.zero(vars)
-    num, den = _mpoly(vars, t), _basis_power(e, B, powers, vars)._scale(c)
-    return RatFunc(num, den) if den._is_one() else ratfunc_normalize(num, den)
+    parts = ((n, _basis_power(tuple(map(sub, e, ei)), B, powers, vars)._scale(c // ci))
+             for (ci, ei), n in nonzero)
+    return _sum_over(vars, _basis_power(e, B, powers, vars)._scale(c), parts)

@@ -7,17 +7,16 @@ ring, where each division by the previous pivot is exact (Bareiss).  The
 forward pass clears below the pivots and gives the rank and the pivot
 columns.  The full pass also clears above them; the rows divided by the last
 pivot are then the reduced row echelon form, which gives inverses, null
-vectors and the commuting basis.
+vectors and the commuting basis, whose one reduction also decides
+independence (``commuting_basis``).
 
 ``matrix_rank`` tries a certified filter first: the matrix's image in
-GF(p) at a fixed point where no denominator vanishes.  A full-rank image
-proves full rank over Q(x); any other image leaves the rank to the
-elimination.
+GF(p) at a fixed point where no denominator vanishes, by the gcd's
+evaluator ``field._value_mod``.  A full-rank image proves full rank over
+Q(x); any other image leaves the rank to the elimination.
 """
 
 from __future__ import annotations
-
-from math import prod
 
 from .errors import (
     ArityMismatch,
@@ -34,7 +33,7 @@ from .field import (
     MPoly,
     RatFunc,
     _eval_point,
-    _unpack,
+    _value_mod,
     common_denominator,
     divexact,
     ratfunc_normalize,
@@ -75,7 +74,7 @@ def _eliminate(mat: Matrix, full: bool) -> tuple[list[list[MPoly]], list[int], M
 
 def _width(mat: Matrix) -> int:
     # the common length of the rows of a nonempty matrix over one variable
-    # tuple; the filter reads packed keys, which the tuple's length decodes
+    # tuple; the filter's evaluator decodes packed keys by the tuple's length
     width = len(mat[0])
     if not width or any(len(row) != width for row in mat):
         raise ArityMismatch("matrix rows must be nonempty and of one length")
@@ -92,12 +91,9 @@ def _image_rank(mat: Matrix) -> int | None:
     p, nv = _GCD_PRIME, len(mat[0][0].vars)
     for attempt in range(4):
         point = _eval_point(nv, attempt)
-
-        def at(f):
-            return sum(c * prod(map(pow, point, _unpack(k, nv), [p] * nv)) for k, c in f.packed.items())
-
         try:
-            rows = [[at(x.num) * pow(at(x.den), -1, p) % p for x in row] for row in mat]
+            rows = [[_value_mod(x.num, point) * pow(_value_mod(x.den, point), -1, p) % p
+                     for x in row] for row in mat]
         except ValueError:  # a denominator is not invertible mod p
             continue
         rank = 0
@@ -212,17 +208,16 @@ def commuting_basis(p: Presentation) -> tuple[Matrix, tuple]:
     normalized so that D-bar_i fixes the selected coordinate subset
     (D-bar_i(x_{j_k}) = delta_ik), then verify that the new derivations
     commute on every generator."""
-    cert = linear_independence(p)
-    if not cert.independent:
-        raise NotIndependent(
-            "derivations are linearly dependent; witness "
-            + "(" + ", ".join(str(c) for c in cert.combination) + ")"
-        )
     M = _evaluation_matrix(p)
     n, t = p.n, len(p.vars)
     # the reduced form of [M | I] is [A . M | A], with A the inverse of the
-    # minor on the selected columns
-    rows, _, d = _eliminate(_with_identity(M), full=True)
+    # minor on the selected columns.  [M | I] has rank n, and so has M
+    # exactly when no pivot falls in I; a dependent M is eliminated again
+    # for its witness
+    rows, pivots, d = _eliminate(_with_identity(M), full=True)
+    if pivots[-1] >= t:
+        witness = ", ".join(str(c) for c in linear_independence(p).combination)
+        raise NotIndependent(f"derivations are linearly dependent; witness ({witness})")
     reduced = [[ratfunc_normalize(e, d) for e in row] for row in rows]
     A = [row[t:] for row in reduced]
     actions = tuple(

@@ -109,14 +109,12 @@ def validate_jacobi(alpha: StructureConstants) -> list[Violation]:
         raise NonConstantStructureConstants(
             "the Jacobi test requires constant structure constants"
         )
-    out = []
-    for k, l, m in combinations(range(1, alpha.n + 1), 3):
-        for q in range(1, alpha.n + 1):
-            s = RatFunc.zero(alpha.vars)
-            for p in range(1, alpha.n + 1):
-                s = s + alpha.get(k, l, p) * alpha.get(p, m, q)
-                s = s + alpha.get(l, m, p) * alpha.get(p, k, q)
-                s = s + alpha.get(m, k, p) * alpha.get(p, l, q)
+    out, ns = [], range(1, alpha.n + 1)
+    for k, l, m in combinations(ns, 3):
+        cycle = ((k, l, m), (l, m, k), (m, k, l))
+        for q in ns:
+            pairs = [(alpha.get(a, b, p), alpha.get(p, c, q)) for p in ns for a, b, c in cycle]
+            s = lincomb(pairs, alpha.vars)
             if not s.is_zero():
                 out.append(Violation(f"jacobi at (k,l,m;q)=({k},{l},{m};{q})", s))
     return out

@@ -1,6 +1,5 @@
 import ast
 import random
-import time
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -276,44 +275,63 @@ class TestGcd:
         assert [mpoly_cofactors(f, g) for f, g in pairs] == want
         assert fallbacks
 
-    def test_fallback_keeps_the_coprime_shortcut(self, monkeypatch):
+    def test_fallback_keeps_the_coprime_shortcut(self):
         # coprime inputs over 4 or 5 variables run the whole pseudo-remainder
-        # sequence unless coprime univariate images end it first: without
-        # that shortcut, some pairs below take seconds each
+        # sequence unless coprime univariate images end it first.  With that
+        # shortcut the pairs below take 1373 pseudo-remainder steps in all;
+        # without it they take minutes, which the child's timeout cuts short
         sympy = pytest.importorskip("sympy")
         from test_gcd_sympy import from_sympy, positive_lead, to_sympy
 
-        rng = random.Random(1)
-
-        def sparse(vars, deg):
-            # 3 or 4 terms, each exponent at most deg
-            while True:
-                f = MPoly(vars, {
-                    tuple(rng.randint(0, deg) for _ in vars): rng.choice((-3, -2, -1, 1, 2, 3))
-                    for _ in range(rng.randint(3, 4))
-                })
-                if not f.is_const():
-                    return f
-
-        pairs = []
-        for _ in range(2):
-            for vars in [("w", "x", "y", "z"), ("v", "w", "x", "y", "z")]:
-                pairs += [(sparse(vars, 3), sparse(vars, 3)) for _ in range(6)]
-                for _ in range(6):
-                    h = sparse(vars, 1)
-                    pairs.append((sparse(vars, 1) * h, sparse(vars, 1) * h))
         want = []
-        for f, g in pairs:
+        for f, g in fallback_pairs():
             gens = sympy.symbols(f.vars)
             h = sympy.gcd(to_sympy(f, gens).set_domain("ZZ"), to_sympy(g, gens).set_domain("ZZ"))
-            want.append(positive_lead(from_sympy(h, f.vars)))
-        monkeypatch.setattr(liediff.field, "_heu_gcd", lambda f, g: None)
-        start = time.perf_counter()
-        for (f, g), h in zip(pairs, want):
-            got, a, b = mpoly_cofactors(f, g)
-            assert got == h, (f, g)
-            assert (a * h, b * h) == (f, g)
-            assert time.perf_counter() - start < 3.0
+            want.append(str(positive_lead(from_sympy(h, f.vars))))
+        code = (
+            "import liediff.field as field\n"
+            "from test_field import fallback_pairs\n"
+            "steps = []\n"
+            "real = field._prem\n"
+            "field._prem = lambda *args: steps.append(1) or real(*args)\n"
+            "field._heu_gcd = lambda f, g: None\n"
+            "for f, g in fallback_pairs():\n"
+            "    h, a, b = field.mpoly_cofactors(f, g)\n"
+            "    if (a * h, b * h) != (f, g):\n"
+            "        raise SystemExit(f'bad cofactors of {f} and {g}')\n"
+            "    print(h)\n"
+            "print(len(steps))\n"
+        )
+        out = run_python(code, timeout=60)
+        assert out.returncode == 0, out.stderr
+        *got, steps = out.stdout.splitlines()
+        assert got == want
+        assert steps == "1373"
+
+
+def fallback_pairs() -> list[tuple[MPoly, MPoly]]:
+    """Sparse pairs over 4 and 5 variables: coprime ones of degree 3 per
+    variable, and ones of degree 1 with a planted common factor."""
+    rng = random.Random(1)
+
+    def sparse(vars, deg):
+        # 3 or 4 terms, each exponent at most deg
+        while True:
+            f = MPoly(vars, {
+                tuple(rng.randint(0, deg) for _ in vars): rng.choice((-3, -2, -1, 1, 2, 3))
+                for _ in range(rng.randint(3, 4))
+            })
+            if not f.is_const():
+                return f
+
+    pairs = []
+    for _ in range(2):
+        for vars in [("w", "x", "y", "z"), ("v", "w", "x", "y", "z")]:
+            pairs += [(sparse(vars, 3), sparse(vars, 3)) for _ in range(6)]
+            for _ in range(6):
+                h = sparse(vars, 1)
+                pairs.append((sparse(vars, 1) * h, sparse(vars, 1) * h))
+    return pairs
 
 
 class TestDerive:

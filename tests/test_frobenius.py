@@ -1,5 +1,4 @@
 import random
-import time
 from itertools import combinations, permutations
 
 import pytest
@@ -23,7 +22,7 @@ from liediff import (
     matrix_rank,
     parse_field_expr,
 )
-from liediff import ops
+from liediff import field, frobenius, ops
 from conftest import make_presentation, rand_poly, rand_ratfunc
 
 
@@ -145,15 +144,23 @@ class TestMatrixHelpers:
             _assert_inverse(A, inv)
 
     @pytest.mark.parametrize("seed", [107, 120])
-    def test_invert_three_variable_gcd_tail(self, seed):
+    def test_invert_three_variable_gcd_tail(self, seed, gcd_calls, monkeypatch):
         # general denominators over (x, y, z): these two seeds once spent
-        # over 30 s and over 4 minutes in the pseudo-remainder gcd
+        # over 30 s and over 4 minutes in the pseudo-remainder gcd.  The
+        # heuristic gcd answers every call, so a fallback to that sequence
+        # fails at once; the 24 gcds are the three rows' lcm chains over
+        # five denominators each and the nine entries' normalizations
         rng = random.Random(seed)
         V = ("x", "y", "z")
         A = [[rand_ratfunc(rng, V, 1, 1) for _ in range(3)] for _ in range(3)]
-        start = time.perf_counter()
+
+        def no_fallback(f, g):
+            raise AssertionError(f"pseudo-remainder fallback on {f} and {g}")
+
+        monkeypatch.setattr(field, "_pp_gcd_prs", no_fallback)
+        gcd_calls.clear()
         inv = matrix_invert(A)
-        assert time.perf_counter() - start < 5.0
+        assert len(gcd_calls) == 24
         _assert_inverse(A, inv)
 
 
@@ -210,6 +217,29 @@ class TestCommutingBasis:
     def test_dependent_rejected(self, p_dependent):
         with pytest.raises(NotIndependent):
             commuting_basis(p_dependent)
+
+    @pytest.mark.parametrize("vars, images, witness", [
+        (("x", "y"), [("1", "0"), ("x", "0")], "-x, 1"),
+        (WIDE_DEPENDENT[1][0], WIDE_DEPENDENT[1][1], "-1/x, -y, 1"),
+    ])
+    def test_dependent_message_names_the_witness(self, vars, images, witness):
+        # a pivot of [M | I] in the identity block sends the presentation to
+        # linear_independence, whose combination the message prints
+        with pytest.raises(NotIndependent) as exc:
+            commuting_basis(make_presentation(vars, images, {}))
+        assert str(exc.value) == f"derivations are linearly dependent; witness ({witness})"
+
+    @pytest.mark.parametrize("fixture", ["p1", "p_nc", "p_heis", "p_abelian"])
+    def test_one_elimination_decides_independence(self, fixture, request, monkeypatch):
+        # the reduction of [M | I] that gives A also shows that M has full
+        # rank, so an independent presentation is eliminated once
+        pres = request.getfixturevalue(fixture)
+        passes = []
+        real = frobenius._eliminate
+        monkeypatch.setattr(frobenius, "_eliminate",
+                            lambda mat, full: passes.append(full) or real(mat, full))
+        commuting_basis(pres)
+        assert passes == [True]
 
     def test_invalid_presentation_fails_commutation_check(self):
         # alpha = 0 contradicts the true bracket [D1, D2] = d/dz, so the

@@ -17,11 +17,14 @@ kernel of ``tuple_kernel.py`` on products, exact and inexact quotients,
 cofactors, printing, equality, hashing and the tuple round trip, with
 exponents next to the degree ceiling 2^31, which raises a typed error.  An
 inexact division stops at its least key, and a product with a unit operand,
-like a division by the coefficient 1, returns the other operand itself."""
+like a division by the coefficient 1, returns the other operand itself.  The
+GF(p) evaluator agrees with a per-term reference, and the coprime basis of
+the brackets takes a pinned number of gcds."""
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd, lcm, prod
 from unittest import mock
 
 import pytest
@@ -55,7 +58,14 @@ from oracles import brackets_reference, rewrite_normalize  # noqa: E402
 from liediff.frobenius import _eliminate, _image_rank  # noqa: E402
 from liediff.cli import main  # noqa: E402
 import tuple_kernel  # noqa: E402
-from liediff.field import _eval_point, coprime_basis, mpoly_cofactors  # noqa: E402
+from liediff.field import (  # noqa: E402
+    _GCD_PRIME,
+    _eval_point,
+    _univariate_image,
+    _value_mod,
+    coprime_basis,
+    mpoly_cofactors,
+)
 
 
 def coefficients(vars):
@@ -949,6 +959,61 @@ def test_coprime_basis_refines_shared_factors():
         for b, k in zip(B, e):
             power = power * b**k
         assert power == d
+
+
+@pytest.mark.parametrize("exprs, gcds", [
+    # x, x + 1 and y shared pairwise; 16 gcds when every piece of a split
+    # goes back against the whole basis
+    (("x^2 + x", "(x + 1)^2*y", "2*x*y", "4", "x + 1"), 7),
+    # repeats of x + y and x, which merge without a gcd (10 otherwise)
+    (("x + y", "(x + y)^2", "(x + y)*x", "2*x + 2*y", "3", "2*x^2"), 5),
+    # pairwise coprime: each pair once
+    (("x + y", "x - y", "x^2 + y^2 + 1", "x*y + 1"), 6),
+])
+def test_coprime_basis_gcd_counts(exprs, gcds, gcd_calls):
+    vars = ("x", "y")
+    dens = [parse_field_expr(s, vars).num for s in exprs]
+    B, exps = coprime_basis(dens, vars)
+    assert len(gcd_calls) == gcds
+    assert all(mpoly_cofactors(a, b)[0].is_const() for a, b in combinations(B, 2))
+    for d in dens:
+        c, e = exps[d]
+        assert prod((b**k for b, k in zip(B, e)), start=MPoly.const(vars, c)) == d
+
+
+# -- the GF(p) evaluator of the gcd's degree bound and the rank filter ------
+
+
+def _univariate_image_reference(f: MPoly, m: int, point) -> dict:
+    # term by term over the integers, reduced mod p at the end
+    out = {}
+    for e, c in f.terms.items():
+        out[e[m]] = out.get(e[m], 0) + c * prod(x**q for j, (x, q) in enumerate(zip(point, e)) if j != m)
+    return {d: v % _GCD_PRIME for d, v in out.items() if v % _GCD_PRIME}
+
+
+@PROPERTY
+@given(data=st.data())
+def test_univariate_image_equals_per_term_reference(data):
+    vars = data.draw(PACKED_VARS)
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 4)] * len(vars)),
+                            st.integers(-2**40, 2**40), max_size=6)
+    f = data.draw(terms.map(lambda t: MPoly(vars, t)))
+    m = data.draw(st.integers(0, len(vars) - 1))
+    point = data.draw(st.one_of(
+        st.builds(_eval_point, st.just(len(vars)), st.integers(0, 3)),
+        st.lists(st.integers(-10**12, 10**12), min_size=len(vars), max_size=len(vars)),
+    ))
+    assert _univariate_image(f, m, point) == _univariate_image_reference(f, m, point)
+    exact = sum(c * prod(map(pow, point, e)) for e, c in f.terms.items())
+    assert _value_mod(f, point) == exact % _GCD_PRIME
+
+
+def test_univariate_image_drops_vanishing_coefficients():
+    # at y = 3 the x coefficient y - 3 vanishes, and p*x^2 is 0 mod p
+    vars = ("x", "y")
+    f = MPoly(vars, {(1, 1): 1, (1, 0): -3, (2, 0): _GCD_PRIME, (0, 0): 5})
+    assert _univariate_image(f, 0, [2, 3]) == _univariate_image_reference(f, 0, [2, 3]) == {0: 5}
 
 
 # -- the certified rank filter against Bareiss ------------------------------
