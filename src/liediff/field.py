@@ -36,7 +36,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd as _igcd, isqrt as _isqrt, lcm as _ilcm, prod
-from operator import mul, or_, sub
+from operator import add, mul, or_, sub
 
 from .errors import (
     ArityMismatch,
@@ -384,11 +384,11 @@ def divexact(f: MPoly, g: MPoly) -> MPoly:
     min(f) - min(g): a division whose least keys do not divide, or that
     reaches a quotient key below that one, is inexact at once, without
     running the rest of its quotient steps."""
+    f._require_same_vars(g)
     if g.is_zero():
         raise ValueError("division by the zero polynomial")
     if f.is_zero():
         return f
-    f._require_same_vars(g)
     if g.is_const():
         return f._divide(g.packed[0])
     nv, gt = len(f.vars), g.packed
@@ -435,41 +435,38 @@ def _main_var(f: MPoly, g: MPoly) -> int:
     return nv - 1 - ((o & -o).bit_length() - 1) // _B if o else -1
 
 
-def _deg_in(f: MPoly, m: int) -> int:
-    s = _field(len(f.vars), m)[0]
-    return max(((k >> s) & _MASK for k in f.packed), default=0)
-
-
-def _coeff_in(f: MPoly, m: int, d: int) -> MPoly:
+def _coeffs_in(f: MPoly, m: int) -> dict[int, dict]:
+    # f as a polynomial in variable m: each degree in x_m mapped to the
+    # packed terms of that coefficient, x_m stripped, in one pass
     s, u = _field(len(f.vars), m)
-    return _mpoly(f.vars, {k - d * u: c for k, c in f.packed.items() if (k >> s) & _MASK == d})
-
-
-def _shift(f: MPoly, m: int, d: int) -> MPoly:
-    u = _field(len(f.vars), m)[1]
-    return _mpoly(f.vars, {k + d * u: c for k, c in f.packed.items()})
+    out: dict[int, dict] = {}
+    for k, c in f.packed.items():
+        d = (k >> s) & _MASK
+        out.setdefault(d, {})[k - d * u] = c
+    return out
 
 
 def _prem(f: MPoly, g: MPoly, m: int) -> MPoly:
     # pseudo-remainder of f by g in the variable m; rational content is
     # stripped per step to curb coefficient swell (callers take primitive
     # parts anyway)
-    dg = _deg_in(g, m)
-    b = _coeff_in(g, m, dg)
+    u = _field(len(f.vars), m)[1]
+    cg = _coeffs_in(g, m)
+    dg = max(cg)
+    b = _mpoly(g.vars, cg[dg])
     r = f
-    while not r.is_zero() and _deg_in(r, m) >= dg:
-        dr = _deg_in(r, m)
-        lr = _coeff_in(r, m, dr)
-        r = (b * r - _shift(lr, m, dr - dg) * g).primitive_part()
+    while r.packed and max(cr := _coeffs_in(r, m)) >= dg:
+        dr = max(cr)
+        # the leading coefficient times x_m^(dr - dg)
+        lr = _mpoly(r.vars, {k + (dr - dg) * u: c for k, c in cr[dr].items()})
+        r = (b * r - lr * g).primitive_part()
     return r
 
 
 def _cont_in(f: MPoly, m: int) -> MPoly:
     # primitive gcd of the coefficients of the powers of variable m
-    s = _field(len(f.vars), m)[0]
-    degrees = sorted({(k >> s) & _MASK for k in f.packed})
-    coeffs = (_coeff_in(f, m, d).primitive_part() for d in degrees)
-    return reduce(_pp_gcd_prs, coeffs)
+    coeffs = _coeffs_in(f, m)
+    return reduce(_pp_gcd_prs, (_mpoly(f.vars, coeffs[d]).primitive_part() for d in sorted(coeffs)))
 
 
 def _m_primitive(f: MPoly, m: int) -> MPoly:
@@ -495,12 +492,7 @@ def _univariate_image(f: MPoly, m: int, point) -> dict:
     # substitute integers for every variable except m, mod _GCD_PRIME: the
     # terms grouped by their degree in m, x_m stripped, each group evaluated
     # once.  _pp_gcd_prs passes primitive parts, so the coefficients are ints
-    s, u = _field(len(f.vars), m)
-    groups: dict[int, dict] = {}
-    for k, c in f.packed.items():
-        d = (k >> s) & _MASK
-        groups.setdefault(d, {})[k - d * u] = c
-    images = ((d, _value_mod(_mpoly(f.vars, t), point)) for d, t in groups.items())
+    images = ((d, _value_mod(_mpoly(f.vars, t), point)) for d, t in _coeffs_in(f, m).items())
     return {d: v for d, v in images if v}
 
 
@@ -647,7 +639,7 @@ def _pp_gcd_prs(f: MPoly, g: MPoly) -> MPoly:
     if f.is_const() or g.is_const():
         return MPoly.const(f.vars, 1)
     m = _main_var(f, g)
-    df, dg = _deg_in(f, m), _deg_in(g, m)
+    df, dg = max(_coeffs_in(f, m)), max(_coeffs_in(g, m))
     if df == 0:
         return _pp_gcd_prs(f, _cont_in(g, m))
     if dg == 0:
@@ -671,6 +663,7 @@ def mpoly_cofactors(f: MPoly, g: MPoly) -> tuple[MPoly, MPoly, MPoly]:
     """(h, f/h, g/h) with h = mpoly_gcd(f, g).  As in sympy's ``cofactors``,
     (0, 0) gives (0, 0, 0), and (0, g) gives (h, 0, g/h) with h = g or -g,
     whichever has a positive leading coefficient."""
+    f._require_same_vars(g)
     if f.is_zero() or g.is_zero():
         if f.is_zero() and g.is_zero():
             return f, f, g
@@ -1232,3 +1225,31 @@ def basis_sum(groups: dict, B: list[MPoly], powers: dict, vars: tuple[str, ...])
     parts = ((n, _basis_power(tuple(map(sub, e, ei)), B, powers, vars)._scale(c // ci))
              for (ci, ei), n in nonzero)
     return _sum_over(vars, _basis_power(e, B, powers, vars)._scale(c), parts)
+
+
+def _key_mul(a: tuple, b: tuple) -> tuple:
+    # the key (c, e) of the product of two denominators with keys a and b
+    return a[0] * b[0], tuple(map(add, a[1], b[1]))
+
+
+def _derive_unreduced(D: DerivationAction, x: RatFunc, exps: dict) -> tuple[MPoly, tuple]:
+    """D(x) for x = N/R as (numerator, denominator key) over the keys exps
+    of a coprime basis (``coprime_basis``), by the quotient rule and without
+    a gcd: (R*D'N - N*D'R) / (Q*R^2), or D'N / (Q*R) when D'R = 0, with Q
+    the common denominator of D's images and D' = Q*D (``derive``)."""
+    q, r = exps[D.den], x.den
+    dn = _derive_poly(D, x.num)
+    if r._is_one():
+        return dn, q
+    dr = _derive_poly(D, r)
+    if dr.is_zero():
+        return dn, _key_mul(q, exps[r])
+    return r * dn - x.num * dr, _key_mul(q, _key_mul(exps[r], exps[r]))
+
+
+def _add_product(group: dict, a: tuple, b: tuple) -> None:
+    # add the product of the unreduced fractions a and b, each (numerator,
+    # key), into group, a basis_sum group, under the key of its denominator
+    (x, ka), (y, kb) = a, b
+    if x.packed and y.packed:
+        _mul_into(group.setdefault(_key_mul(ka, kb), {}), x.packed, y.packed, len(x.vars))

@@ -12,6 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import (
+    ArityMismatch,
     NonConstantStructureConstants,
     UnknownDerivation,
     Violation,
@@ -76,6 +77,8 @@ class Presentation(_Record):
         derivations: tuple[DerivationAction, ...],
         alpha: StructureConstants,
     ):
+        if not vars or not derivations:
+            raise ArityMismatch("a presentation needs at least one variable and one derivation")
         self._init(vars=vars, derivations=derivations, alpha=alpha, _pbw={})
 
     @property

@@ -257,13 +257,21 @@ class TestExitCodes:
         err = self._one_error(capsys, ["validate", "-p", pfile])
         assert err == f"error: '{pfile}' is nested too deeply to read\n"
 
-    @pytest.mark.parametrize("vars", [[["x"], "y"], [{"x": 1}], ["x", ["x"]]])
+    @pytest.mark.parametrize("vars", [[["x"], "y"], [{"x": 1}], ["x", ["x"]], []])
     def test_unhashable_vars_are_a_schema_error(self, capsys, tmp_path, vars):
-        # set(vars) once raised TypeError before the element types were checked
+        # set(vars) once raised TypeError before the element types were
+        # checked; an empty list gets the same message
         pfile = tmp_path / "p.json"
         pfile.write_text(json.dumps({"vars": vars, "derivations": [{"action": {"y": "1"}}]}))
         err = self._one_error(capsys, ["validate", "-p", pfile])
         assert err == "error: 'vars' must be a nonempty list of distinct identifiers\n"
+
+    def test_no_derivations_is_a_schema_error(self, capsys, tmp_path):
+        # the loader's message, not the ArityMismatch of Presentation
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps({"vars": ["x"], "derivations": []}))
+        err = self._one_error(capsys, ["validate", "-p", pfile])
+        assert err == "error: 'derivations' must be a nonempty list\n"
 
     def test_integer_expressions_accepted(self, capsys, tmp_path):
         obj = json.loads((DATA / "p1.json").read_text())

@@ -208,6 +208,25 @@ class TestGcd:
         four = MPoly.const(VARS, 4)
         assert mpoly_gcd(two_x, four) == MPoly.const(VARS, 2)
 
+    def test_operands_over_other_variables_raise(self):
+        # packed keys are read against the width of their own tuple, so a
+        # gcd or quotient across tuples is refused as + and * refuse it
+        from liediff import divexact
+
+        x = MPoly.variable(("x",), "x")
+        y = MPoly.variable(("y",), "y")
+        xy = ("x", "y")
+        cases = [
+            lambda: mpoly_gcd(x, y),
+            lambda: mpoly_cofactors(MPoly(("x",), {(3,): 2}), MPoly(xy, {(2, 5): 4})),
+            lambda: mpoly_cofactors(MPoly.zero(("x",)), y),
+            lambda: divexact(MPoly.zero(("x",)), y),
+            lambda: divexact(x, MPoly.zero(("y",))),
+        ]
+        for case in cases:
+            with pytest.raises(UnknownVariable):
+                case()
+
     def test_gcd_random_divides(self):
         from liediff import divexact
 

@@ -472,13 +472,13 @@ class TestFirstOrderBrackets:
         rng = random.Random(87)
         u, v, w = [[rand_ratfunc(rng, p_heis.vars, 1) for _ in range(3)] for _ in range(3)]
         calls = []
-        mul = ops._mul_into
+        mul = field._mul_into
 
         def counting(*args):
             calls.append(1)
             return mul(*args)
 
-        monkeypatch.setattr(ops, "_mul_into", counting)
+        monkeypatch.setattr(field, "_mul_into", counting)
         got = first_order_commutator(u, v, p_heis)
         one = len(calls)
         table = ops.first_order_brackets([u, v, w], p_heis)

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from liediff import (
+    ArityMismatch,
     DerivationAction,
     IndependenceCertificate,
     NonConstantStructureConstants,
@@ -162,6 +163,14 @@ class TestCheckPresentation:
         v = report[0]
         assert "(k,l)=(1,2)" in v.where and "variable x" in v.where
         assert v.residual == RatFunc.const(("x", "y"), 1)
+
+    @pytest.mark.parametrize("vars, n", [(("x",), 0), ((), 1), ((), 0)])
+    def test_empty_presentation_rejected(self, vars, n):
+        # no derivations or no variables once reached commuting_basis and
+        # linear_independence, which raised a bare IndexError
+        actions = tuple(DerivationAction(f"D{k}", vars, ()) for k in range(n))
+        with pytest.raises(ArityMismatch):
+            Presentation(vars, actions, StructureConstants.zero(n, vars))
 
     def test_single_derivation_passes(self):
         p = make_presentation(("x",), [("x^2",)], {})

@@ -196,6 +196,11 @@ class TestNormalOperatorKeys:
         with pytest.raises(ArityMismatch):
             NormalOperator.first_order(coeffs, 2)
 
+    def test_first_order_empty_vector(self):
+        # no coefficient to take the variable tuple from
+        with pytest.raises(ArityMismatch):
+            NormalOperator.first_order([], 0)
+
 
 class TestSharedTable:
     # every call over one presentation reads and fills its PBW table

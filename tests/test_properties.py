@@ -380,6 +380,28 @@ def test_heuristic_mpoly_gcd_equals_prs_on_fractions(data):
         assert got == mpoly_cofactors(f, g)
 
 
+@PROPERTY
+@given(data=st.data())
+def test_prem_equals_sympy_prem(data):
+    # sympy's prem multiplies by lc(g)^(df - dg + 1) whatever the number of
+    # steps, and _prem by one lc(g) per step, dropping content as it goes:
+    # the two agree up to content, sign and a power of lc(g)
+    sympy = pytest.importorskip("sympy")
+    from test_gcd_sympy import from_sympy, to_sympy
+
+    vars = data.draw(st.sampled_from([("x", "y"), ("x", "y", "z"), ("w", "x", "y", "z")]))
+    m = data.draw(st.integers(0, len(vars) - 1))
+    f = data.draw(polys(vars, max_deg=3, max_size=4))
+    g = data.draw(_nonzero(polys(vars, max_deg=3, max_size=4)))
+    gens = sympy.symbols(vars)
+    want = sympy.prem(to_sympy(f, gens).as_expr(), to_sympy(g, gens).as_expr(), gens[m])
+    want = from_sympy(sympy.Poly(want, *gens, domain="QQ"), vars).primitive_part()
+    got = liediff.field._prem(f, g, m)
+    dg = max(e[m] for e in g.terms)
+    lc = MPoly(vars, {e[:m] + (0,) + e[m + 1:]: c for e, c in g.terms.items() if e[m] == dg})
+    assert any((got * lc**e).primitive_part() == want for e in range(5))
+
+
 # -- gcd with cofactors against the pseudo-remainder reference ---------------
 
 
