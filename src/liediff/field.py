@@ -767,7 +767,9 @@ class RatFunc:
 
     # Arithmetic keeps results reduced with small cross-cancellations instead
     # of one large gcd on products (inputs are canonical, so the classical
-    # identities apply).
+    # identities apply).  `+` and `*` take three lanes: denominators 1
+    # (polynomials, canonical as they stand), integer denominators (only an
+    # integer content can cancel: no polynomial gcd), and cofactor gcds.
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
         self.num._require_same_vars(other.num)
@@ -778,6 +780,12 @@ class RatFunc:
         if self.den._is_one() and other.den._is_one():
             # polynomials: an integer-coefficient numerator over 1 is canonical
             return RatFunc(self.num + other.num, self.den)
+        if self.den.is_const() and other.den.is_const():
+            # a/c1 + b/c2 = (a*(c2/g) + b*(c1/g)) / (c1*c2/g), g = igcd(c1, c2)
+            c1, c2 = self.den.packed[0], other.den.packed[0]
+            g = _igcd(c1, c2)
+            t = self.num._scale(c2 // g) + other.num._scale(c1 // g)
+            return _canonical_scale(t, _mpoly(self.vars, {0: c1 // g * c2}))
         # with d = gcd of the denominators, a/(A*d) + b/(B*d) = t/(A*B*d) for
         # t = a*B + b*A, and only a factor of d can cancel against t
         d, a_red, b_red = mpoly_cofactors(self.den, other.den)
@@ -805,6 +813,10 @@ class RatFunc:
             return other
         if self.den._is_one() and other.den._is_one():
             return RatFunc(self.num * other.num, self.den)
+        if self.den.is_const() and other.den.is_const():
+            # (a/c1) * (b/c2) = a*b / (c1*c2)
+            c = self.den.packed[0] * other.den.packed[0]
+            return _canonical_scale(self.num * other.num, _mpoly(self.vars, {0: c}))
         _, n1, d2 = mpoly_cofactors(self.num, other.den)
         _, n2, d1 = mpoly_cofactors(other.num, self.den)
         return _canonical_scale(n1 * n2, d1 * d2)
@@ -1026,13 +1038,16 @@ def derive(action: DerivationAction, f: RatFunc) -> RatFunc:
     Leibniz on products, quotient rule on fractions, zero on constants.
 
     With the images over their common denominator Q, D(N) = D'(N) / Q for
-    D'(N) = sum_j d_jN * P_j, one integer-coefficient sum.  For a fraction
-    N/R, take g = gcd(R, D'R) with R = g*R1 and D'R = g*S1; the quotient
-    rule gives D(N/R) = (R1*D'N - N*S1) / (Q*g*R1^2).  That numerator is
-    coprime to R1, since gcd(N, R) = 1 and gcd(R1, S1) = 1 (Bronstein,
-    *Symbolic Integration I*), so only a factor of Q*g can cancel, and no
-    gcd is taken when Q*g is a constant.  D'R = 0 needs no branch of its
-    own: mpoly_cofactors(R, 0) takes no gcd and gives g = R, R1 = 1, S1 = 0."""
+    D'(N) = sum_j d_jN * P_j, one integer-coefficient sum.  Three lanes
+    follow.  Over the denominator 1, D(N) is canonical as it stands when
+    Q = 1.  Over an integer c, D(N/c) = D'N/(Q*c), and no gcd is taken when
+    Q is an integer too.  For a general fraction N/R, take g = gcd(R, D'R)
+    with R = g*R1 and D'R = g*S1; the quotient rule gives D(N/R) =
+    (R1*D'N - N*S1) / (Q*g*R1^2).  That numerator is coprime to R1, since
+    gcd(N, R) = 1 and gcd(R1, S1) = 1 (Bronstein, *Symbolic Integration I*),
+    so only a factor of Q*g can cancel, and no gcd is taken when Q*g is a
+    constant.  D'R = 0 needs no branch of its own: mpoly_cofactors(R, 0)
+    takes no gcd and gives g = R, R1 = 1, S1 = 0."""
     if f.vars != action.vars:
         raise UnknownVariable("value and derivation are over different variables")
     q, r = action.den, f.den
@@ -1040,6 +1055,9 @@ def derive(action: DerivationAction, f: RatFunc) -> RatFunc:
     if r._is_one():
         # an integer-coefficient polynomial over 1 is canonical already
         return RatFunc(dn, q) if q._is_one() else ratfunc_normalize(dn, q)
+    if r.is_const():
+        # D(N/c) = D'N / (Q*c) for an integer c
+        return ratfunc_normalize(dn, q._scale(r.packed[0]))
     dr = _derive_poly(action, r)
     g, r1, s1 = mpoly_cofactors(r, dr)
     num = r1 * dn - f.num * s1

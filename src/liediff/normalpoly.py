@@ -26,7 +26,7 @@ from .errors import (
 )
 from .field import RatFunc, SparseSum, _add_to, derive, format_sum, lincomb
 from .lie import Presentation
-from .ops import _derivatives, _entry, _multi_index
+from .ops import _check_coefficient, _derivatives, _entry, _multi_index
 
 # A generator is a multi-index (tuple of ints) for X_I or a string for a slot.
 
@@ -70,6 +70,7 @@ class NormalPoly(SparseSum):
             for g, _ in m:
                 if not isinstance(g, str):
                     _multi_index(g, n)
+            _check_coefficient(c, self.vars)
             if not c.is_zero():
                 _add_to(clean, m, c)
         self.terms = clean

@@ -63,6 +63,11 @@ def _multi_index(I, n: int) -> tuple:
     return I
 
 
+def _check_coefficient(c: RatFunc, vars: tuple[str, ...]) -> None:
+    if c.vars != vars:
+        raise UnknownVariable("coefficient over a different variable tuple")
+
+
 def _check_factors(term, vars, n) -> tuple:
     out = []
     for f in term:
@@ -70,8 +75,7 @@ def _check_factors(term, vars, n) -> tuple:
             if not 1 <= f <= n:
                 raise UnknownDerivation(f"derivation index {f} not in 1..{n}")
         elif isinstance(f, RatFunc):
-            if f.vars != vars:
-                raise UnknownVariable("coefficient over a different variable tuple")
+            _check_coefficient(f, vars)
         else:
             raise TypeError(f"bad factor {f!r}")
         out.append(f)
@@ -103,6 +107,7 @@ class NormalOperator(SparseSum):
         clean = {}
         for I, c in terms.items():
             I = _multi_index(I, n)
+            _check_coefficient(c, self.vars)
             if not c.is_zero():
                 clean[I] = c
         self.terms = clean

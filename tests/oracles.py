@@ -1,6 +1,9 @@
 """Reference paths for the tests: the rewrite engine, the reference for the
-table engine ``liediff.ops.normalize``, and ``brackets_reference``, the
-reference for the first-order brackets ``liediff.ops._brackets``.
+table engine ``liediff.ops.normalize``; ``brackets_reference``, the
+reference for the first-order brackets ``liediff.ops._brackets``; and
+``ratfunc_add_reference`` and ``ratfunc_mul_reference``, the cofactor-gcd
+formulas of ``RatFunc`` ``+`` and ``*``, the reference for their integer
+lane.
 
 ``rewrite_normalize`` rewrites redexes with two rules:
 
@@ -29,7 +32,7 @@ from liediff import (
     derive,
     lincomb,
 )
-from liediff.field import _add_to
+from liediff.field import _add_to, _canonical_scale, mpoly_cofactors
 from liediff.ops import _check_word, _words
 
 
@@ -156,3 +159,26 @@ def brackets_reference(rows, pairs, p: Presentation, beta: StructureConstants | 
             for j in range(n)
         ])
     return out
+
+
+def ratfunc_add_reference(a: RatFunc, b: RatFunc) -> RatFunc:
+    """a + b for canonical a and b by cofactor gcds alone: with d the gcd of
+    the denominators, a/(A*d) + b/(B*d) = t/(A*B*d) for t = a*B + b*A, and
+    only a factor of d can cancel against t."""
+    d, a_red, b_red = mpoly_cofactors(a.den, b.den)
+    t = a.num * b_red + b.num * a_red
+    if t.is_zero():
+        return RatFunc.zero(a.vars)
+    if not d.is_const():
+        g, t_red, d_red = mpoly_cofactors(t, d)
+        if not g.is_const():
+            return _canonical_scale(t_red, a_red * b_red * d_red)
+    return _canonical_scale(t, a_red * b.den)
+
+
+def ratfunc_mul_reference(a: RatFunc, b: RatFunc) -> RatFunc:
+    """a * b for canonical a and b by cofactor gcds alone: each numerator
+    cancels against the other operand's denominator."""
+    _, n1, d2 = mpoly_cofactors(a.num, b.den)
+    _, n2, d1 = mpoly_cofactors(b.num, a.den)
+    return _canonical_scale(n1 * n2, d1 * d2)

@@ -125,6 +125,21 @@ class TestArith:
         assert [f + g, f - g, f * g] == want
         assert gcd_calls == []
 
+    def test_integer_denominators_need_no_gcd(self, gcd_calls):
+        # over integer denominators only an integer content can cancel:
+        # x/3 + y/2 and (x/3)*(y/2) took 3 polynomial gcds on integers
+        a, b = rf("x/3"), rf("y/2")
+        want = [rf("(2*x + 3*y)/6"), rf("x*y/6")]
+        gcd_calls.clear()
+        assert [a + b, a * b] == want
+        assert gcd_calls == []
+        # cancellation to an integer, and to a polynomial over 1
+        c, d, e, f = rf("x/6"), rf("-x/6 + 5/4"), rf("x/4"), rf("4*y/3")
+        want = [rf("5/4"), rf("x/2"), rf("(2*x - 3*y)/6"), rf("y"), rf("0")]
+        gcd_calls.clear()
+        assert [c + d, e + e, a - b, f * rf("3/4"), c - c] == want
+        assert gcd_calls == []
+
     def test_pow_negative(self):
         assert rf("x/2") ** -2 == rf("4/x^2")
 

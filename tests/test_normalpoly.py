@@ -14,6 +14,7 @@ from liediff import (
     TruncationExceeded,
     UnboundSlot,
     UnknownDerivation,
+    UnknownVariable,
     apply_operator,
     axiom1_instance_check,
     derive,
@@ -152,6 +153,15 @@ def test_multi_index_entries_checked(p_nc, make, I):
     # x_action(2, (0, -1)) once returned X[0,0]
     with pytest.raises(InvalidMultiIndex):
         make(p_nc, I)
+
+
+def test_coefficient_over_other_variables(p1):
+    # y over ('y',) was once accepted as the coefficient of a NormalPoly over
+    # ('x', 'y'); a sum with a second term at the same key raised only then
+    y = RatFunc.variable(("y",), "y")
+    for terms in ({(): y}, {(((1, 0), 1),): y}, {(): RatFunc.zero(("y",))}):
+        with pytest.raises(UnknownVariable):
+            NormalPoly(p1.vars, p1.n, terms)
 
 
 class TestPow:

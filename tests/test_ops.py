@@ -201,9 +201,35 @@ class TestNormalOperatorKeys:
         with pytest.raises(ArityMismatch):
             NormalOperator.first_order([], 0)
 
+    def test_coefficient_over_other_variables(self, p1):
+        # y over ('y',) once built y*D1 with vars == ('x',), and a zero over
+        # other variables is refused too, as OpWord refuses both
+        y = RatFunc.variable(("y",), "y")
+        for c in (y, RatFunc.zero(("y",))):
+            with pytest.raises(UnknownVariable):
+                NormalOperator(("x",), 1, {(1,): c})
+            with pytest.raises(UnknownVariable):
+                OpWord(("x",), 1, [(c, 1)])
+
+    def test_first_order_mixed_variable_tuples(self):
+        # [x over ('x',), y over ('y',)] once built x*D1 + y*D2
+        x, y = RatFunc.variable(("x",), "x"), RatFunc.variable(("y",), "y")
+        with pytest.raises(UnknownVariable):
+            NormalOperator.first_order([x, y], 2)
+
 
 class TestSharedTable:
     # every call over one presentation reads and fills its PBW table
+
+    def test_integer_coefficients_take_no_gcd(self, p_heis, gcd_calls):
+        # heis's images -y/2 and x/2 put every coefficient over an integer;
+        # with the table filled, this word took 16 gcds on integers
+        pres = cold_copy(p_heis)
+        w = word(pres, (1, 2, "5", 1, "z + 3", 2, 1, 2))
+        want = normalize(w, pres)
+        gcd_calls.clear()
+        assert normalize(w, pres) == want
+        assert gcd_calls == []
 
     def test_repeated_word_adds_no_entries(self, p_heis):
         pres = cold_copy(p_heis)

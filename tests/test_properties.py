@@ -5,7 +5,9 @@ product agrees with a naive one, the heuristic gcd and the gcd with
 cofactors agree with the pseudo-remainder reference, the kernel's trusted
 constructors build what the validating ones build, the field arithmetic and
 derivations obey their
-axioms on three-variable fractions, and
+axioms on three-variable fractions, ``+``, ``-`` and ``*`` over integer
+denominators agree with the cofactor-gcd formulas of ``oracles.py`` and with
+``Fraction`` evaluation, ``derive`` of N/c with derive(N) times 1/c, and
 derivation over one common denominator and the one-normalization sum of
 products agree with their pairwise references, ``lincomb`` agrees with the
 plain sum on each kind of denominator, ``derive`` with the quotient rule
@@ -54,7 +56,12 @@ from liediff import (  # noqa: E402
 )
 from liediff import DegreeOverflow, NormalOperator, NormalPoly, UnknownVariable, op_mul, ops  # noqa: E402
 from conftest import DATA, cold_copy, quotient_rule_reference, rand_npoly  # noqa: E402
-from oracles import brackets_reference, rewrite_normalize  # noqa: E402
+from oracles import (  # noqa: E402
+    brackets_reference,
+    ratfunc_add_reference,
+    ratfunc_mul_reference,
+    rewrite_normalize,
+)
 from liediff.frobenius import _eliminate, _image_rank  # noqa: E402
 from liediff.cli import main  # noqa: E402
 import tuple_kernel  # noqa: E402
@@ -546,6 +553,49 @@ def test_derive_leibniz_and_quotient_rule(p_heis, data):
         if not g.is_zero():
             assert derive(D, f / g) == (df * g - f * dg) / (g * g)
         assert derive(D, RatFunc.const(XYZ, c)).is_zero()
+
+
+# -- the integer lane of + and * against the cofactor-gcd formulas ------------
+
+
+def over_integers(vars):
+    """N/c in canonical form for N an integer polynomial and c in 1..60, so
+    that two denominators often share a factor; zero and one among them."""
+    drawn = st.builds(lambda n, c: ratfunc_normalize(n, MPoly.const(vars, c)),
+                      polys(vars, bound=60, max_size=4), st.integers(1, 60))
+    return st.one_of(st.just(RatFunc.zero(vars)), st.just(RatFunc.const(vars, 1)), drawn)
+
+
+def _value(f: RatFunc, point) -> Fraction:
+    def ev(p: MPoly) -> Fraction:
+        return sum((c * prod(v**e for v, e in zip(point, k)) for k, c in p.terms.items()),
+                   Fraction(0))
+
+    return ev(f.num) / ev(f.den)
+
+
+@PROPERTY
+@given(data=st.data(), vars=st.sampled_from([("x",), ("x", "y"), XYZ]))
+def test_integer_denominators_equal_cofactor_reference(data, vars):
+    a, b = data.draw(over_integers(vars)), data.draw(over_integers(vars))
+    for got, ref in ((a + b, ratfunc_add_reference(a, b)),
+                     (a - b, ratfunc_add_reference(a, -b)),
+                     (a * b, ratfunc_mul_reference(a, b))):
+        assert got == ref and str(got) == str(ref)
+    point = data.draw(st.tuples(*[st.integers(-5, 5)] * len(vars)))
+    assert _value(a + b, point) == _value(a, point) + _value(b, point)
+    assert _value(a * b, point) == _value(a, point) * _value(b, point)
+
+
+@PROPERTY
+@given(n=polys(XYZ, bound=60, max_size=4), c=st.integers(1, 60))
+def test_derive_over_integer_denominator(p_heis, n, c):
+    # heis's images lie over 2, so D(N/c) = D'N/(2*c) takes no gcd
+    f = ratfunc_normalize(n, MPoly.const(XYZ, c))
+    inv = RatFunc.const(XYZ, Fraction(1, c))
+    for D in p_heis.derivations:
+        assert derive(D, f) == derive(D, RatFunc.from_poly(n)) * inv
+        assert derive(D, f) == quotient_rule_reference(D, f)
 
 
 # -- one common denominator: derive and lincomb against pairwise references ----
