@@ -230,7 +230,7 @@ class MPoly:
         if k < 0:
             raise NegativeExponent(f"polynomial raised to the power {k}")
         _check_degree((max(self.packed, default=0) >> _B * len(self.vars)) * k)
-        out = MPoly.const(self.vars, 1)
+        out = _unit(self.vars)
         base = self
         while k:
             if k & 1:
@@ -868,11 +868,6 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-def needs_product_parens(c: "RatFunc") -> bool:
-    """True when printing c directly before '*' would split its top-level sum."""
-    return len(c.num.packed) > 1 and c.den._is_one()
-
-
 def format_sum(pairs) -> str:
     """Render a sum of field coefficients times monomials from (coefficient,
     monomial text) pairs in printing order; an empty monomial text is a
@@ -885,7 +880,8 @@ def format_sum(pairs) -> str:
         if mon and a.is_one():
             body = mon
         else:
-            body = f"({a})" if needs_product_parens(a) else str(a)
+            # a fraction's str already parenthesizes a sum numerator
+            body = f"({a})" if len(a.num.packed) > 1 and a.den._is_one() else str(a)
             if mon:
                 body = f"{body}*{mon}"
         parts.append((neg, body))
@@ -975,14 +971,15 @@ def _atomic_denominator(d: MPoly) -> bool:
 
 def _canonical_scale(num: MPoly, den: MPoly) -> RatFunc:
     # final normalization for a pair already free of common polynomial
-    # factors: coprime integer contents, positive leading denominator
+    # factors: coprime integer contents, positive leading denominator, and
+    # the shared unit for a denominator 1
     if num.is_zero():
         return RatFunc.zero(num.vars)
     c = _frac_gcd(num.content(), den.content())
     num, den = num._divide(c), den._divide(c)
     if den._lc() < 0:
         num, den = -num, -den
-    return RatFunc(num, den)
+    return RatFunc(num, _unit(num.vars) if den._is_one() else den)
 
 
 def ratfunc_normalize(num: MPoly, den: MPoly) -> RatFunc:

@@ -6,9 +6,9 @@ question.  It clears denominators row by row and works over the polynomial
 ring, where each division by the previous pivot is exact (Bareiss).  The
 forward pass clears below the pivots and gives the rank and the pivot
 columns.  The full pass also clears above them; the rows divided by the last
-pivot are then the reduced row echelon form, which gives inverses, null
-vectors and the commuting basis, whose one reduction also decides
-independence (``commuting_basis``).
+pivot are then the reduced row echelon form.  One reduction of [M | J], J
+the exchange block, gives inverses, the commuting basis and, by a pivot in
+J, a dependence witness (``_witness``).
 
 ``matrix_rank`` tries a certified filter first: the matrix's image in
 GF(p) at a fixed point where no denominator vanishes, by the gcd's
@@ -21,7 +21,6 @@ from __future__ import annotations
 from .errors import (
     ArityMismatch,
     CommutationFailure,
-    InvariantBroken,
     NotIndependent,
     UnknownVariable,
     Violation,
@@ -122,42 +121,36 @@ def matrix_rank(mat: Matrix) -> int:
     return len(_eliminate(mat, full=False)[1])
 
 
-def _with_identity(mat: Matrix) -> Matrix:
-    # [mat | I], with one identity column per row of mat
-    vars = mat[0][0].vars
+def _with_exchange(mat: Matrix) -> Matrix:
+    # [mat | J], J the exchange matrix: row i has its 1 in column n-1-i
+    vars, n = mat[0][0].vars, len(mat)
     zero, one = RatFunc.zero(vars), RatFunc.const(vars, 1)
     return [
-        list(row) + [one if i == j else zero for j in range(len(mat))]
+        list(row) + [one if i + j == n - 1 else zero for j in range(n)]
         for i, row in enumerate(mat)
     ]
 
 
+def _witness(rows: list[list[MPoly]], t: int, d: MPoly) -> tuple[RatFunc, ...]:
+    # for a dependent M, the last row of a reduced [M | J] has a zero M part
+    # and its pivot d in J; its J part over d, read in reverse, is the b with
+    # sum b_i M_i = 0 that is 1 at the first dependent row and 0 at every
+    # later one
+    return tuple(ratfunc_normalize(e, d) for e in reversed(rows[-1][t:]))
+
+
 def matrix_invert(mat: Matrix) -> Matrix | None:
-    """Exact inverse over the field, or None if singular: reduce [mat | I],
-    which is singular when a column of mat has no pivot."""
+    """Exact inverse over the field, or None if singular: the reduced form
+    of [mat | J] is [I | mat^-1 J] exactly when no pivot falls in J."""
     n = len(mat)
     if not mat:
         return []
     if _width(mat) != n:
         raise ArityMismatch(f"cannot invert a {n}x{len(mat[0])} matrix")
-    rows, pivots, d = _eliminate(_with_identity(mat), full=True)
-    if any(c not in pivots for c in range(n)):
+    rows, pivots, d = _eliminate(_with_exchange(mat), full=True)
+    if pivots[-1] >= n:
         return None
-    return [[ratfunc_normalize(e, d) for e in row[n:]] for row in rows]
-
-
-def _null_vector(mat: Matrix, ncols: int) -> list[RatFunc] | None:
-    """A nonzero x with mat . x = 0, chosen from the first free column."""
-    vars = mat[0][0].vars
-    rows, pivots, d = _eliminate(mat, full=True)
-    free = next((c for c in range(ncols) if c not in pivots), None)
-    if free is None:
-        return None
-    x = [RatFunc.zero(vars) for _ in range(ncols)]
-    x[free] = RatFunc.const(vars, 1)
-    for r, c in enumerate(pivots):
-        x[c] = ratfunc_normalize(-rows[r][free], d)
-    return x
+    return [[ratfunc_normalize(e, d) for e in reversed(row[n:])] for row in rows]
 
 
 class IndependenceCertificate(_Record):
@@ -178,29 +171,21 @@ class IndependenceCertificate(_Record):
         return "independent" if self.independent else "dependent"
 
 
-def _evaluation_matrix(p: Presentation) -> Matrix:
-    # row i: images of the declared variables under D_{i+1}
-    return [list(d.images) for d in p.derivations]
-
-
 def linear_independence(p: Presentation) -> IndependenceCertificate:
     """Decide linear independence of the derivations over the field.
 
     A derivation vanishes iff it vanishes on all generators, so independence
-    is the rank of the n x t matrix of generator images.  A column is a pivot
-    exactly when it is independent of the columns before it, so the pivot
-    columns form the lexicographically first invertible n x n minor.
+    is the rank of the n x t matrix M of generator images.  A column is a
+    pivot exactly when it is independent of the columns before it, so the
+    pivot columns form the lexicographically first invertible n x n minor.
+    A dependent M gets one more forward pass, of [M | J], for its witness.
     """
-    M = _evaluation_matrix(p)
-    n, t = p.n, len(p.vars)
+    M = [d.images for d in p.derivations]
     _, pivots, _ = _eliminate(M, full=False)
-    if len(pivots) == n:
+    if len(pivots) == p.n:
         return IndependenceCertificate(True, columns=tuple(pivots))
-    transpose = [[M[i][j] for i in range(n)] for j in range(t)]
-    b = _null_vector(transpose, n)
-    if b is None:
-        raise InvariantBroken("rank below n but no null vector was found")
-    return IndependenceCertificate(False, combination=tuple(b))
+    rows, _, d = _eliminate(_with_exchange(M), full=False)
+    return IndependenceCertificate(False, combination=_witness(rows, len(p.vars), d))
 
 
 def commuting_basis(p: Presentation) -> tuple[Matrix, tuple]:
@@ -208,18 +193,18 @@ def commuting_basis(p: Presentation) -> tuple[Matrix, tuple]:
     normalized so that D-bar_i fixes the selected coordinate subset
     (D-bar_i(x_{j_k}) = delta_ik), then verify that the new derivations
     commute on every generator."""
-    M = _evaluation_matrix(p)
+    M = [d.images for d in p.derivations]
     n, t = p.n, len(p.vars)
-    # the reduced form of [M | I] is [A . M | A], with A the inverse of the
-    # minor on the selected columns.  [M | I] has rank n, and so has M
-    # exactly when no pivot falls in I; a dependent M is eliminated again
-    # for its witness
-    rows, pivots, d = _eliminate(_with_identity(M), full=True)
+    # the reduced form of [M | J] is [A . M | A . J], with A the inverse of
+    # the minor on the selected columns.  [M | J] has rank n, and so has M
+    # exactly when no pivot falls in J; otherwise the last row holds the
+    # witness
+    rows, pivots, d = _eliminate(_with_exchange(M), full=True)
     if pivots[-1] >= t:
-        witness = ", ".join(str(c) for c in linear_independence(p).combination)
+        witness = ", ".join(str(c) for c in _witness(rows, t, d))
         raise NotIndependent(f"derivations are linearly dependent; witness ({witness})")
     reduced = [[ratfunc_normalize(e, d) for e in row] for row in rows]
-    A = [row[t:] for row in reduced]
+    A = [row[t:][::-1] for row in reduced]
     actions = tuple(
         DerivationAction(f"Dbar{i + 1}", p.vars, tuple(reduced[i][:t])) for i in range(n)
     )

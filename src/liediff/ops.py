@@ -419,11 +419,9 @@ def _brackets(rows, pairs, p: Presentation, beta: StructureConstants | None = No
             for i in range(n):
                 _add_product(groups[j], f[l][i], d[k][j][i])
                 _add_product(groups[j], g[k][i], d[l][j][i])
-        for r in range(n):
-            for s in range(n):
-                for m, c in p.alpha.bracket(r + 1, s + 1):
-                    x = rows[l][r]
-                    _add_product(groups[m - 1], (x.num * c.num, _key_mul(f[l][r][1], exps[c.den])), f[k][s])
+        for (r, s, m), c in p.alpha.entries.items():
+            x, key = f[l][r - 1]
+            _add_product(groups[m - 1], (x * c.num, _key_mul(key, exps[c.den])), f[k][s - 1])
         if beta is not None:
             for m, c in beta.bracket(l + 1, k + 1):
                 for j in range(n):

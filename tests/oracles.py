@@ -1,9 +1,11 @@
 """Reference paths for the tests: the rewrite engine, the reference for the
 table engine ``liediff.ops.normalize``; ``brackets_reference``, the
-reference for the first-order brackets ``liediff.ops._brackets``; and
+reference for the first-order brackets ``liediff.ops._brackets``;
 ``ratfunc_add_reference`` and ``ratfunc_mul_reference``, the cofactor-gcd
 formulas of ``RatFunc`` ``+`` and ``*``, the reference for their integer
-lane.
+lane; and ``independence_reference`` and ``inverse_reference``, plain
+Gauss-Jordan over the field, the references for the one fraction-free
+reduction of ``liediff.frobenius``.
 
 ``rewrite_normalize`` rewrites redexes with two rules:
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from liediff import (
     ArityMismatch,
+    IndependenceCertificate,
     InvariantBroken,
     NormalOperator,
     OpWord,
@@ -182,3 +185,55 @@ def ratfunc_mul_reference(a: RatFunc, b: RatFunc) -> RatFunc:
     _, n1, d2 = mpoly_cofactors(a.num, b.den)
     _, n2, d1 = mpoly_cofactors(b.num, a.den)
     return _canonical_scale(n1 * n2, d1 * d2)
+
+
+def gauss_jordan(mat) -> tuple[list[list[RatFunc]], list[int]]:
+    """(rows, pivot columns) of the reduced row echelon form of a nonempty
+    matrix by plain field arithmetic: each pivot row is divided by its
+    pivot, and every other row is cleared in the pivot column."""
+    rows = [list(row) for row in mat]
+    pivots: list[int] = []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c].reciprocal()
+        rows[r] = [a * inv for a in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and not row[c].is_zero():
+                f = row[c]
+                rows[i] = [a - f * b for a, b in zip(row, rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def independence_reference(p: Presentation) -> IndependenceCertificate:
+    """The certificate of ``liediff.frobenius.linear_independence`` by the
+    transpose route: the pivot columns of the n x t matrix M of generator
+    images, or, for a dependent M, the null vector b of M^T chosen from
+    its first free column (b is 1 there and 0 at every later free
+    column), so that sum b_i D_i = 0."""
+    M = [d.images for d in p.derivations]
+    _, pivots = gauss_jordan(M)
+    if len(pivots) == p.n:
+        return IndependenceCertificate(True, columns=tuple(pivots))
+    rows, pivots = gauss_jordan([list(col) for col in zip(*M)])
+    free = next(c for c in range(p.n) if c not in pivots)
+    b = [RatFunc.zero(p.vars)] * p.n
+    b[free] = RatFunc.const(p.vars, 1)
+    for r, c in enumerate(pivots):
+        b[c] = -rows[r][free]
+    return IndependenceCertificate(False, combination=tuple(b))
+
+
+def inverse_reference(mat) -> list | None:
+    """The inverse of a nonempty square matrix over one variable tuple, the
+    right block of the reduced [mat | I], or None if a pivot falls in I."""
+    n, vars = len(mat), mat[0][0].vars
+    zero, one = RatFunc.zero(vars), RatFunc.const(vars, 1)
+    rows, pivots = gauss_jordan([
+        list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(mat)
+    ])
+    return None if pivots[-1] >= n else [row[n:] for row in rows]

@@ -162,10 +162,9 @@ class TestArith:
     def test_negative_powers_rejected_under_optimize(self):
         # the checks raise, so they survive python -O (an assert would not);
         # this also covers the invariants of the rewrite oracle
-        # (tests/oracles.py) and of linear_independence
+        # (tests/oracles.py)
         code = (
             "from liediff import *\n"
-            "from liediff import frobenius\n"
             "import oracles\n"
             "x = MPoly.variable(('x',), 'x')\n"
             "q = NormalPoly.xvar(('x',), 1, (1,))\n"
@@ -191,9 +190,6 @@ class TestArith:
             "d = DerivationAction('delta1', ('x',), (RatFunc.const(('x',), 1),))\n"
             "p = Presentation(('x',), (d,), StructureConstants.zero(1, ('x',)))\n"
             "cases.append((InvariantBroken, lambda: oracles.rewrite_normalize(w, p)))\n"
-            "twice = Presentation(('x',), (d, d), StructureConstants.zero(2, ('x',)))\n"
-            "frobenius._null_vector = lambda mat, ncols: None\n"
-            "cases.append((InvariantBroken, lambda: linear_independence(twice)))\n"
             "for i, (err, call) in enumerate(cases):\n"
             "    try:\n"
             "        call()\n"
@@ -516,6 +512,22 @@ class TestUnitDenominator:
         ):
             assert f.den is unit
         assert RatFunc.zero(("x",)).den is not unit
+
+    def test_results_over_one_share_the_denominator(self):
+        # a sum, product, power, parse, normalization or derivative whose
+        # denominator cancels to 1 holds the shared unit, not a copy
+        unit = RatFunc.zero(VARS).den
+        x, two = rf("x"), rf("2")
+        for f in (
+            x / two + x / two,
+            rf("(x + 1)/x") * x,
+            x**2,
+            rf("x^2"),
+            (x / two) * two,
+            ratfunc_normalize(MPoly(VARS, {(1, 0): 2}), MPoly.const(VARS, 2)),
+            derive(delta(VARS, 1), rf("x^2/2")),
+        ):
+            assert f.den is unit, f
 
     def test_unit_built_elsewhere_is_one(self):
         # is_one tests identity with the shared unit first; an equal unit

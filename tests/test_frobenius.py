@@ -95,6 +95,15 @@ def _first_invertible_minor(pres):
     return None
 
 
+def _count_passes(monkeypatch) -> list:
+    # the full flag of every _eliminate call, in order
+    passes = []
+    real = frobenius._eliminate
+    monkeypatch.setattr(frobenius, "_eliminate",
+                        lambda mat, full: passes.append(full) or real(mat, full))
+    return passes
+
+
 class TestMatrixHelpers:
     def test_rank_full(self, p1):
         assert matrix_rank(matrix(p1, [["1", "0"], ["x", "1"]])) == 2
@@ -188,6 +197,16 @@ class TestLinearIndependence:
         assert not cert.independent
         assert cert.combination == (rf("1", p),)
 
+    @pytest.mark.parametrize("fixture, expected", [
+        ("p1", [False]), ("p_heis", [False]), ("p_dependent", [False, False]),
+    ])
+    def test_passes(self, fixture, expected, request, monkeypatch):
+        # the forward pass over M decides; only a dependent M gets one
+        # forward pass of [M | J] for its witness
+        passes = _count_passes(monkeypatch)
+        linear_independence(request.getfixturevalue(fixture))
+        assert passes == expected
+
     def test_witness_verifies_by_substitution(self, p_dependent):
         # certificate soundness: sum b_i D_i kills every generator
         wide = [make_presentation(vars, images, {}) for vars, images in WIDE_DEPENDENT]
@@ -223,22 +242,24 @@ class TestCommutingBasis:
         (WIDE_DEPENDENT[1][0], WIDE_DEPENDENT[1][1], "-1/x, -y, 1"),
     ])
     def test_dependent_message_names_the_witness(self, vars, images, witness):
-        # a pivot of [M | I] in the identity block sends the presentation to
-        # linear_independence, whose combination the message prints
+        # a pivot of [M | J] in the exchange block leaves the witness in the
+        # last reduced row, which the message prints
         with pytest.raises(NotIndependent) as exc:
             commuting_basis(make_presentation(vars, images, {}))
         assert str(exc.value) == f"derivations are linearly dependent; witness ({witness})"
 
-    @pytest.mark.parametrize("fixture", ["p1", "p_nc", "p_heis", "p_abelian"])
+    @pytest.mark.parametrize("fixture", ["p1", "p_nc", "p_heis", "p_abelian", "p_dependent"])
     def test_one_elimination_decides_independence(self, fixture, request, monkeypatch):
-        # the reduction of [M | I] that gives A also shows that M has full
-        # rank, so an independent presentation is eliminated once
+        # the reduction of [M | J] that gives A also shows that M has full
+        # rank, or else holds the witness, so every presentation is
+        # eliminated once
         pres = request.getfixturevalue(fixture)
-        passes = []
-        real = frobenius._eliminate
-        monkeypatch.setattr(frobenius, "_eliminate",
-                            lambda mat, full: passes.append(full) or real(mat, full))
-        commuting_basis(pres)
+        passes = _count_passes(monkeypatch)
+        if fixture == "p_dependent":
+            with pytest.raises(NotIndependent):
+                commuting_basis(pres)
+        else:
+            commuting_basis(pres)
         assert passes == [True]
 
     def test_invalid_presentation_fails_commutation_check(self):

@@ -21,7 +21,10 @@ exponents next to the degree ceiling 2^31, which raises a typed error.  An
 inexact division stops at its least key, and a product with a unit operand,
 like a division by the coefficient 1, returns the other operand itself.  The
 GF(p) evaluator agrees with a per-term reference, and the coprime basis of
-the brackets takes a pinned number of gcds."""
+the brackets takes a pinned number of gcds.  Independence certificates,
+dependence witnesses and inverses from the reduction beside the exchange
+block agree with plain Gauss-Jordan and the transpose route of
+``oracles.py``."""
 
 import random
 from fractions import Fraction
@@ -55,9 +58,12 @@ from liediff import (  # noqa: E402
     validate_antisymmetry,
 )
 from liediff import DegreeOverflow, NormalOperator, NormalPoly, UnknownVariable, op_mul, ops  # noqa: E402
+from liediff import NotIndependent, commuting_basis, linear_independence, matrix_invert  # noqa: E402
 from conftest import DATA, cold_copy, quotient_rule_reference, rand_npoly  # noqa: E402
 from oracles import (  # noqa: E402
     brackets_reference,
+    independence_reference,
+    inverse_reference,
     ratfunc_add_reference,
     ratfunc_mul_reference,
     rewrite_normalize,
@@ -1135,6 +1141,47 @@ def test_rank_deficient_image_is_not_trusted():
     assert _image_rank(mat) == 1
     assert matrix_rank(mat) == 2
     assert matrix_rank([[x2]]) == 1
+
+
+# -- the exchange-block reduction against the transpose route ---------------
+
+
+def _rows(data, vars, nr, nc):
+    # each row fresh, zero, a repeat of an earlier row or a combination of
+    # the earlier rows, so that dependent and singular matrices are common
+    rows = []
+    for _ in range(nr):
+        kind = data.draw(st.sampled_from(["fresh", "zero", "repeat", "combined"][: 4 if rows else 2]))
+        if kind == "fresh":
+            rows.append([data.draw(ratfuncs(vars)) for _ in range(nc)])
+        elif kind == "zero":
+            rows.append([RatFunc.zero(vars)] * nc)
+        elif kind == "repeat":
+            rows.append(list(data.draw(st.sampled_from(rows))))
+        else:
+            cs = [data.draw(ratfuncs(vars)) for _ in rows]
+            rows.append([sum((c * row[j] for c, row in zip(cs, rows)), RatFunc.zero(vars))
+                         for j in range(nc)])
+    return rows
+
+
+@PROPERTY
+@given(data=st.data(), t=st.integers(1, 3), n=st.integers(1, 4))
+def test_exchange_block_equals_transpose_route(data, t, n):
+    vars = XYZ[:t]
+    actions = tuple(DerivationAction(f"D{i + 1}", vars, tuple(row))
+                    for i, row in enumerate(_rows(data, vars, n, t)))
+    p = Presentation(vars, actions, StructureConstants.zero(n, vars))
+    ref = independence_reference(p)
+    cert = linear_independence(p)
+    assert cert == ref and repr(cert) == repr(ref)
+    if not ref.independent:
+        with pytest.raises(NotIndependent) as exc:
+            commuting_basis(p)
+        witness = ", ".join(str(c) for c in ref.combination)
+        assert str(exc.value) == f"derivations are linearly dependent; witness ({witness})"
+    square = _rows(data, vars, n, n)
+    assert matrix_invert(square) == inverse_reference(square)
 
 
 # -- the packed kernel against the tuple kernel, and the degree ceiling -------
