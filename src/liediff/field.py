@@ -291,9 +291,7 @@ class MPoly:
         parts = []
         for k in sorted(self.packed, reverse=True):
             c = self.packed[k]
-            mon = "*".join(
-                v if p == 1 else f"{v}^{p}" for v, p in zip(self.vars, _unpack(k, nv)) if p
-            )
+            mon = power_product((v, p) for v, p in zip(self.vars, _unpack(k, nv)) if p)
             try:
                 a = str(abs(c))
             except ValueError as e:
@@ -364,6 +362,11 @@ def join_signed(parts: list[tuple[bool, str]]) -> str:
     for neg, body in parts[1:]:
         out += (" - " if neg else " + ") + body
     return out
+
+
+def power_product(pairs) -> str:
+    """Render (base text, exponent) pairs as b or b^e, joined by '*'."""
+    return "*".join(b if e == 1 else f"{b}^{e}" for b, e in pairs)
 
 
 def _frac_gcd(a, b) -> int | Fraction:
@@ -900,11 +903,23 @@ def _add_to(acc: dict, key, c: RatFunc) -> None:
 
 class SparseSum:
     """Finite sum of nonzero field coefficients keyed by monomials, over the
-    field variables ``vars`` and ``n`` derivations: the arithmetic shared by
-    normal operators and normal polynomials.  A subclass validates its keys
-    in ``__init__`` and prints itself."""
+    field variables ``vars`` and ``n`` derivations: the construction and
+    arithmetic shared by normal operators and normal polynomials.  A
+    subclass checks and canonicalizes a key in ``_key(key, n)``."""
 
     __slots__ = ("vars", "n", "terms")
+
+    def __init__(self, vars: Iterable[str], n: int, terms: dict):
+        # the one checked constructor: equal canonical keys merge, zero sums drop
+        self.vars = vars = tuple(vars)
+        self.n = n
+        clean: dict = {}
+        for key, c in terms.items():
+            key = self._key(key, n)
+            if c.vars != vars:
+                raise UnknownVariable("coefficient over a different variable tuple")
+            _add_to(clean, key, c)
+        self.terms = clean
 
     @classmethod
     def zero(cls, vars, n: int):
@@ -912,8 +927,8 @@ class SparseSum:
 
     @classmethod
     def _trusted(cls, vars: tuple[str, ...], n: int, terms: dict):
-        # an internal result, without the checks of __init__: its keys are
-        # keys of operands that passed them, and no coefficient is zero
+        # an internal result, without the checks of __init__: the caller
+        # vouches that its keys are canonical and no coefficient is zero
         s = _new(cls)
         s.vars = vars
         s.n = n

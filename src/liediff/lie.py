@@ -15,6 +15,7 @@ from .errors import (
     ArityMismatch,
     NonConstantStructureConstants,
     UnknownDerivation,
+    UnknownVariable,
     Violation,
     _Record,
 )
@@ -22,8 +23,9 @@ from .field import DerivationAction, RatFunc, derive, lincomb
 
 
 class StructureConstants(_Record):
-    """The n^3 table alpha[k,l,m] of field elements, stored sparsely: every
-    index lies in 1..n, and zero values are dropped on construction."""
+    """The n^3 table alpha[k,l,m] of field elements over vars, stored
+    sparsely: every index lies in 1..n, and zero values are dropped on
+    construction."""
 
     __slots__ = _fields = ("n", "vars", "entries")
 
@@ -31,6 +33,8 @@ class StructureConstants(_Record):
         for key in entries:
             if not all(1 <= i <= n for i in key):
                 raise UnknownDerivation(f"structure-constant index {key} not in 1..{n}")
+        if any(v.vars != vars for v in entries.values()):
+            raise UnknownVariable("a structure constant is over other variables")
         entries = {key: v for key, v in entries.items() if not v.is_zero()}
         self._init(n=n, vars=vars, entries=entries)
 
@@ -79,6 +83,10 @@ class Presentation(_Record):
     ):
         if not vars or not derivations:
             raise ArityMismatch("a presentation needs at least one variable and one derivation")
+        if alpha.vars != vars or any(D.vars != vars for D in derivations):
+            raise UnknownVariable("a derivation or alpha is over other variables")
+        if alpha.n != len(derivations):
+            raise ArityMismatch(f"alpha is over {alpha.n} derivations, not {len(derivations)}")
         self._init(vars=vars, derivations=derivations, alpha=alpha, _pbw={})
 
     @property

@@ -15,18 +15,19 @@ variables and must be substituted away before evaluation.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from .errors import (
     ArityMismatch,
     NegativeExponent,
     TruncationExceeded,
     UnboundSlot,
+    UnknownVariable,
     _Record,
 )
-from .field import RatFunc, SparseSum, _add_to, derive, format_sum, lincomb
+from .field import RatFunc, SparseSum, _add_to, derive, format_sum, lincomb, power_product
 from .lie import Presentation
-from .ops import _check_coefficient, _derivatives, _entry, _multi_index
+from .ops import _derivatives, _entry, _multi_index
 
 # A generator is a multi-index (tuple of ints) for X_I or a string for a slot.
 
@@ -45,11 +46,14 @@ def _genkey(g):
     return (1, (sum(g), g))
 
 
-def _mono_mul(a, b):
-    d = dict(a)
-    for g, e in b:
+def _monomial(pairs) -> tuple:
+    """The canonical key of a product of (generator, exponent) pairs: a
+    repeated generator's exponents added, zero exponents dropped, sorted by
+    generator.  A product of monomials m1 and m2 is _monomial(m1 + m2)."""
+    d: dict = {}
+    for g, e in pairs:
         d[g] = d.get(g, 0) + e
-    return tuple(sorted(d.items(), key=lambda ge: _genkey(ge[0])))
+    return tuple(sorted(((g, e) for g, e in d.items() if e), key=lambda ge: _genkey(ge[0])))
 
 
 def _mono_degree(m) -> int:
@@ -61,19 +65,13 @@ class NormalPoly(SparseSum):
 
     __slots__ = ()
 
-    def __init__(self, vars: Iterable[str], n: int, terms: dict):
-        self.vars = tuple(vars)
-        self.n = n
-        clean = {}
-        for m, c in terms.items():
-            m = tuple(sorted(((g, e) for g, e in m if e), key=lambda ge: _genkey(ge[0])))
-            for g, _ in m:
-                if not isinstance(g, str):
-                    _multi_index(g, n)
-            _check_coefficient(c, self.vars)
-            if not c.is_zero():
-                _add_to(clean, m, c)
-        self.terms = clean
+    @staticmethod
+    def _key(m, n: int) -> tuple:
+        m = _monomial(m)
+        for g, _ in m:
+            if not isinstance(g, str):
+                _multi_index(g, n)
+        return m
 
     # -- constructors -----------------------------------------------------
 
@@ -106,8 +104,8 @@ class NormalPoly(SparseSum):
         t: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                _add_to(t, _mono_mul(m1, m2), c1 * c2)
-        return NormalPoly(self.vars, self.n, t)
+                _add_to(t, _monomial(m1 + m2), c1 * c2)
+        return NormalPoly._trusted(self.vars, self.n, t)
 
     def scale(self, c: RatFunc) -> "NormalPoly":
         return NormalPoly(self.vars, self.n, {m: k * c for m, k in self.terms.items()})
@@ -137,47 +135,49 @@ class NormalPoly(SparseSum):
             reverse=True,
         )
         for m in order:
-            gens = "*".join(
-                (g if isinstance(g, str) else "X[" + ",".join(map(str, g)) + "]")
-                + (f"^{e}" if e > 1 else "")
-                for g, e in m
-            )
-            pairs.append((self.terms[m], gens))
+            gens = ((g if isinstance(g, str) else f"X[{','.join(map(str, g))}]", e) for g, e in m)
+            pairs.append((self.terms[m], power_product(gens)))
         return format_sum(pairs)
 
 
-def _linear(p: Presentation, T: dict) -> NormalPoly:
-    # a table entry sum_J c_J * D^J read back as sum_J c_J * X_J
-    return NormalPoly(p.vars, p.n, {((J, 1),): c for J, c in T.items()})
+def _require_over(q: NormalPoly, p: Presentation) -> None:
+    if q.n != p.n:
+        raise ArityMismatch("normal polynomial arity differs from the presentation")
+    if q.vars != p.vars:
+        raise UnknownVariable("normal polynomial over a different variable tuple")
 
 
 def x_action(i: int, I, p: Presentation) -> NormalPoly:
-    """Image of the variable X_I under D_i: the normal form T(i, I) of
-    D_i * D^I, read back as a linear normal polynomial."""
-    return _linear(p, _entry(p, i, _multi_index(I, p.n)))
+    """Image of the variable X_I under D_i: the normal form
+    T(i, I) = sum_J c_J * D^J of D_i * D^I, read back as the linear normal
+    polynomial sum_J c_J * X_J."""
+    T = _entry(p, i, _multi_index(I, p.n))
+    # table keys are checked multi-indices, and no entry holds a zero
+    return NormalPoly._trusted(p.vars, p.n, {((J, 1),): c for J, c in T.items()})
 
 
 def derive_normal(i: int, q: NormalPoly, p: Presentation) -> NormalPoly:
     """Extend the derivation D_i to normal polynomials: derive coefficients,
     act on the X_I through the PBW table of the presentation, and apply
     Leibniz."""
-    return _derive_with(i, q, p, lambda I: _linear(p, _entry(p, i, I)))
+    return _derive_with(i, q, p, lambda I: x_action(i, I, p))
 
 
 def _derive_with(i: int, q: NormalPoly, p: Presentation, on_x) -> NormalPoly:
     # D_i derives the coefficients in the base field and sends X_I to on_x(I)
     action = p.derivation(i)
+    _require_over(q, p)
     t: dict = {}
     for m, c in q.terms.items():
         _add_to(t, m, derive(action, c))
-        for idx, (g, e) in enumerate(m):
+        for g, e in m:
             if isinstance(g, str):
                 raise UnboundSlot(f"cannot differentiate placeholder slot '{g}'")
-            rest = m[:idx] + (((g, e - 1),) if e > 1 else ()) + m[idx + 1 :]
             ce = c * RatFunc.const(q.vars, e)
             for m2, c2 in on_x(g).terms.items():
-                _add_to(t, _mono_mul(rest, m2), ce * c2)
-    return NormalPoly(q.vars, q.n, t)
+                # m with one factor g taken out, times m2
+                _add_to(t, _monomial(m + ((g, -1),) + m2), ce * c2)
+    return NormalPoly._trusted(q.vars, q.n, t)
 
 
 def eval_hom(q: NormalPoly, b: RatFunc, p: Presentation) -> RatFunc:
@@ -188,8 +188,7 @@ def eval_hom(q: NormalPoly, b: RatFunc, p: Presentation) -> RatFunc:
     slots = q.slots()
     if slots:
         raise UnboundSlot(f"unsubstituted slots {sorted(slots)}")
-    if q.n != p.n:
-        raise ArityMismatch("normal polynomial arity differs from the presentation")
+    _require_over(q, p)
     dvalue = _derivatives(p, b)
     one = RatFunc.const(p.vars, 1)
     pairs = []
@@ -215,7 +214,8 @@ def substitute_slots(q: NormalPoly, values: dict) -> NormalPoly:
             else:
                 kept.append((g, e))
         _add_to(t, tuple(kept), v)
-    return NormalPoly(q.vars, q.n, t)
+    # kept is a canonical key with its slots taken out
+    return NormalPoly._trusted(q.vars, q.n, t)
 
 
 def axiom1_instance_check(
@@ -251,6 +251,9 @@ class TruncatedExtension(_Record):
     __slots__ = _fields = ("base", "order", "actions")
 
     def __init__(self, base: Presentation, order: int, actions: dict):
+        # derive builds its results from the actions without the checks
+        for a in actions.values():
+            _require_over(a, base)
         self._init(base=base, order=order, actions=actions)
 
     def variables(self) -> list[tuple[int, ...]]:
@@ -278,5 +281,5 @@ def fresh_extension(p: Presentation, d: int) -> TruncatedExtension:
     actions = {}
     for I in indices_up_to(p.n, d - 1):
         for i in range(1, p.n + 1):
-            actions[(i, I)] = _linear(p, _entry(p, i, I))
+            actions[(i, I)] = x_action(i, I, p)
     return TruncatedExtension(p, d, actions)

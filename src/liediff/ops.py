@@ -43,6 +43,7 @@ from .field import (
     derive,
     format_sum,
     lincomb,
+    power_product,
 )
 from .lie import Presentation, StructureConstants, validate_antisymmetry
 
@@ -63,21 +64,16 @@ def _multi_index(I, n: int) -> tuple:
     return I
 
 
-def _check_coefficient(c: RatFunc, vars: tuple[str, ...]) -> None:
-    if c.vars != vars:
-        raise UnknownVariable("coefficient over a different variable tuple")
-
-
 def _check_factors(term, vars, n) -> tuple:
     out = []
     for f in term:
         if isinstance(f, int):
             if not 1 <= f <= n:
                 raise UnknownDerivation(f"derivation index {f} not in 1..{n}")
-        elif isinstance(f, RatFunc):
-            _check_coefficient(f, vars)
-        else:
+        elif not isinstance(f, RatFunc):
             raise TypeError(f"bad factor {f!r}")
+        elif f.vars != vars:
+            raise UnknownVariable("coefficient over a different variable tuple")
         out.append(f)
     return tuple(out)
 
@@ -100,17 +96,7 @@ class NormalOperator(SparseSum):
     """Finite sum of normal-ordered monomials: multi-index -> coefficient."""
 
     __slots__ = ()
-
-    def __init__(self, vars: Iterable[str], n: int, terms: dict):
-        self.vars = tuple(vars)
-        self.n = n
-        clean = {}
-        for I, c in terms.items():
-            I = _multi_index(I, n)
-            _check_coefficient(c, self.vars)
-            if not c.is_zero():
-                clean[I] = c
-        self.terms = clean
+    _key = staticmethod(_multi_index)
 
     @classmethod
     def identity(cls, vars, n: int) -> "NormalOperator":
@@ -135,11 +121,7 @@ class NormalOperator(SparseSum):
     def __str__(self) -> str:
         pairs = []
         for I in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            mon = "*".join(
-                f"D{k + 1}" if p == 1 else f"D{k + 1}^{p}"
-                for k, p in enumerate(I)
-                if p
-            )
+            mon = power_product((f"D{k + 1}", p) for k, p in enumerate(I) if p)
             pairs.append((self.terms[I], mon))
         return format_sum(pairs)
 

@@ -14,6 +14,7 @@ from liediff import (
     StructureConstants,
     TruncatedExtension,
     UnknownDerivation,
+    UnknownVariable,
     Violation,
     check_presentation,
     derive,
@@ -106,7 +107,14 @@ class TestStructureConstants:
         assert a == b
         assert StructureConstants.zero(2, vars) == StructureConstants(2, vars, {(1, 1, 1): zero})
         assert a != StructureConstants(3, vars, dict(a.entries))
-        assert a != StructureConstants(2, ("x", "z"), dict(a.entries))
+        xz = ("x", "z")
+        one_xz = RatFunc.const(xz, 1)
+        assert a != StructureConstants(2, xz, {(1, 2, 1): one_xz, (2, 1, 1): -one_xz})
+
+    def test_entry_over_other_variables_rejected(self):
+        # an entry over ('x', 'z') was once stored in a table over ('x', 'y')
+        with pytest.raises(UnknownVariable):
+            StructureConstants(2, ("x", "y"), {(1, 2, 1): RatFunc.const(("x", "z"), 1)})
 
 
 class TestJacobi:
@@ -171,6 +179,29 @@ class TestCheckPresentation:
         actions = tuple(DerivationAction(f"D{k}", vars, ()) for k in range(n))
         with pytest.raises(ArityMismatch):
             Presentation(vars, actions, StructureConstants.zero(n, vars))
+
+    def test_parts_over_other_variables_rejected(self):
+        # a derivation over ('y',) in a presentation over ('x',) once passed
+        # check_presentation with an empty report
+        x, y = ("x",), ("y",)
+        dx = DerivationAction("D", x, (RatFunc.const(x, 1),))
+        dy = DerivationAction("D", y, (RatFunc.const(y, 1),))
+        with pytest.raises(UnknownVariable):
+            Presentation(x, (dy,), StructureConstants.zero(1, x))
+        with pytest.raises(UnknownVariable):
+            Presentation(x, (dx,), StructureConstants.zero(1, y))
+
+    def test_alpha_of_another_arity_rejected(self):
+        # alpha of n = 3 over two derivations once made normalize(D2*D1)
+        # raise a bare IndexError
+        vars = ("x", "y")
+        one = RatFunc.const(vars, 1)
+        actions = tuple(
+            DerivationAction(f"D{i}", vars, (one, RatFunc.zero(vars))) for i in (1, 2)
+        )
+        alpha = StructureConstants(3, vars, {(1, 2, 3): one, (2, 1, 3): -one})
+        with pytest.raises(ArityMismatch):
+            Presentation(vars, actions, alpha)
 
     def test_single_derivation_passes(self):
         p = make_presentation(("x",), [("x^2",)], {})

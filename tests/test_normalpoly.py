@@ -11,6 +11,7 @@ from liediff import (
     NormalPoly,
     OpWord,
     RatFunc,
+    TruncatedExtension,
     TruncationExceeded,
     UnboundSlot,
     UnknownDerivation,
@@ -88,6 +89,20 @@ class TestDeriveNormal:
         with pytest.raises(UnboundSlot):
             derive_normal(1, np_("a1*X[0,0]", p1), p1)
 
+    @pytest.mark.parametrize(
+        "derive_with",
+        [derive_normal, lambda i, q, p: fresh_extension(p, 2).derive(i, q)],
+        ids=["derive_normal", "extension_derive"],
+    )
+    def test_polynomial_of_another_presentation_rejected(self, p1, derive_with):
+        # a polynomial with n = 3 derived over p1 (n = 2) once gave a result
+        # with n = 3; eval_hom refuses the same polynomial
+        x = rf("x", p1)
+        with pytest.raises(ArityMismatch):
+            derive_with(1, NormalPoly.const(p1.vars, 3, x), p1)
+        with pytest.raises(UnknownVariable):
+            derive_with(1, NormalPoly.zero(("y", "x"), p1.n), p1)
+
 
 @pytest.mark.parametrize(
     "act",
@@ -153,6 +168,38 @@ def test_multi_index_entries_checked(p_nc, make, I):
     # x_action(2, (0, -1)) once returned X[0,0]
     with pytest.raises(InvalidMultiIndex):
         make(p_nc, I)
+
+
+def test_repeated_generator_merged(p1):
+    # ((I, 1), (I, 1)) was once kept as it was: unequal to c*X_I^2, which
+    # * builds, and printed as X[1,0]*X[1,0]
+    c, I = rf("y", p1), (1, 0)
+    q = NormalPoly(p1.vars, p1.n, {((I, 1), (I, 1)): c, (("a", 1), (I, 2), ("a", -1)): c})
+    x = NormalPoly.xvar(p1.vars, p1.n, I)
+    assert q == (x * x).scale(c + c)
+    assert list(q.terms) == [((I, 2),)] and str(q) == "2*y*X[1,0]^2"
+
+
+def test_normal_results_built_trusted(p_heis, monkeypatch):
+    # derive_normal, x_action, fresh_extension, * and substitute_slots build
+    # their results without the checked constructor
+    pres = cold_copy(p_heis)
+    q = np_("x*X[1,0,0]^2*X[0,1,0] + y*X[0,0,1] + 3", pres)
+    u = np_("a*X[0,1,0] + z", pres)
+    calls = []
+    real = NormalPoly.__init__
+
+    def counting(self, *args):
+        calls.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(NormalPoly, "__init__", counting)
+    for i in (1, 2, 3):
+        derive_normal(i, q, pres)
+        x_action(i, (1, 1, 0), pres)
+    fresh_extension(pres, 3).derive(2, q)
+    substitute_slots(q * u, {"a": rf("x", pres)})
+    assert calls == []
 
 
 def test_coefficient_over_other_variables(p1):
@@ -338,6 +385,12 @@ class TestAxiom1:
 
 
 class TestFreshExtension:
+    def test_action_of_another_presentation_rejected(self, p1):
+        # an action with n = 3 once reached a trusted derive result over p1
+        bad = {(1, (0, 0)): NormalPoly.xvar(p1.vars, 3, (1, 0, 0))}
+        with pytest.raises(ArityMismatch):
+            TruncatedExtension(p1, 2, bad)
+
     def test_order_one_variables_and_actions(self, p1):
         ext = fresh_extension(p1, 1)
         assert ext.variables() == [(0, 0), (0, 1), (1, 0)]

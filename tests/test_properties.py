@@ -3,7 +3,8 @@ warm table as with a cold one, the parser's evaluation in normal form agrees wit
 words, the polynomial kernel keeps its integer-coefficient invariant and its
 product agrees with a naive one, the heuristic gcd and the gcd with
 cofactors agree with the pseudo-remainder reference, the kernel's trusted
-constructors build what the validating ones build, the field arithmetic and
+constructors build what the validating ones build, normal polynomials
+built without the checks equal their re-checked copies, the field arithmetic and
 derivations obey their
 axioms on three-variable fractions, ``+``, ``-`` and ``*`` over integer
 denominators agree with the cofactor-gcd formulas of ``oracles.py`` and with
@@ -58,6 +59,8 @@ from liediff import (  # noqa: E402
     validate_antisymmetry,
 )
 from liediff import DegreeOverflow, NormalOperator, NormalPoly, UnknownVariable, op_mul, ops  # noqa: E402
+from liediff import derive_normal, fresh_extension, indices_up_to, substitute_slots  # noqa: E402
+from liediff.normalpoly import x_action  # noqa: E402
 from liediff import NotIndependent, commuting_basis, linear_independence, matrix_invert  # noqa: E402
 from conftest import DATA, cold_copy, quotient_rule_reference, rand_npoly  # noqa: E402
 from oracles import (  # noqa: E402
@@ -524,6 +527,42 @@ def test_trusted_normal_forms_equal_validated(p_nc, data):
     q, u = rand_npoly(rng, p_nc), rand_npoly(rng, p_nc)
     for r in (q + u, q - u, -q):
         assert type(r.vars) is tuple and NormalPoly(r.vars, r.n, dict(r.terms)) == r
+
+
+def normal_polys(pres, slots=()):
+    """Up to three terms, each a product of up to three powers of X_I with
+    |I| <= 2 or of the given slots; a generator may repeat."""
+    gens = st.sampled_from(indices_up_to(pres.n, 2) + list(slots))
+    monomials = st.lists(st.tuples(gens, st.integers(1, 2)), max_size=3).map(tuple)
+    terms = st.dictionaries(monomials, coefficients(pres.vars), max_size=3)
+    return terms.map(lambda t: NormalPoly(pres.vars, pres.n, t))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_trusted_normal_polynomials_equal_rechecked(p1, p_nc, p_heis, data):
+    # *, **, derive_normal, TruncatedExtension.derive, substitute_slots and
+    # x_action skip the checked constructor: each result is its own
+    # re-checked copy, key for key and in print
+    pres = data.draw(st.sampled_from([p1, p_nc, p_heis]))
+    q, u = data.draw(normal_polys(pres, ("a", "b"))), data.draw(normal_polys(pres, ("a",)))
+    plain = data.draw(normal_polys(pres))
+    i = data.draw(st.integers(1, pres.n))
+    c = coefficients(pres.vars)
+    value = st.one_of(c, c.map(RatFunc.reciprocal), st.just(RatFunc.zero(pres.vars)))
+    values = {g: data.draw(value) for g in ("a", "b")}
+    results = [
+        q * u,
+        q ** data.draw(st.integers(0, 2)),
+        derive_normal(i, plain, pres),
+        fresh_extension(pres, 3).derive(i, plain),
+        substitute_slots(q, values),
+        x_action(i, data.draw(st.sampled_from(indices_up_to(pres.n, 3))), pres),
+    ]
+    for r in results:
+        copy = NormalPoly(r.vars, r.n, r.terms)
+        assert type(r.vars) is tuple and r.n == pres.n
+        assert list(r.terms.items()) == list(copy.terms.items()) and str(r) == str(copy)
 
 
 # -- field axioms and derivations on three-variable fractions ----------------
